@@ -28,14 +28,11 @@ from .rgg import (
     PointSet,
     ColorAssignment,
     GeometricGraph,
-    Box,
-    BallRegion,
     HopDiameter,
     sample_points,
     color_points,
     build_graph,
     hop_diameter,
-    count_in_region,
 )
 from .trees import (
     Tree,

@@ -654,7 +654,10 @@ def run_prop1_experiment(n: int, c_values, trials: int, seed: int) -> Prop1Curve
             result = embed_mod.greedy_line_embed(tree, graph)
             if result.ok:
                 check = embed_mod.verify_embedding(tree, graph, result)
-                assert check.ok, "greedy success failed independent validation"
+                if not check.ok:
+                    raise RuntimeError(
+                        f"greedy success failed independent validation: {check.violation}"
+                    )
                 successes += 1
         lo, hi = wilson_interval(successes, trials)
         points_out.append(

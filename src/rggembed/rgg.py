@@ -1,15 +1,19 @@
 """Random geometric graphs on the unit cube via a cell-list spatial index.
 
 ``sample_points`` draws n i.i.d. uniform points in [0,1]^d; ``build_graph``
-buckets them into a grid of side >= r so that all neighbours of a point lie
-in the 3^d surrounding buckets, and materialises the exact edge set (closed
-threshold, edge iff distance <= r) only when a query first needs it.  Graph
-queries (BFS orders, diameters, connectivity) run on a scipy CSR adjacency.
+buckets them into a grid of side >= r, so that all neighbours of a point lie
+in the 3^d surrounding buckets (a fixed-radius cell list, Bentley, Stanat &
+Williams, IPL 1977).  The exact edge set (closed threshold, edge iff
+distance <= r) is built only when a query first needs it: one vectorised
+sweep per half-stencil bucket offset pairs every point with the points of
+the neighbouring bucket and distance-tests the candidates ``_BLOCK`` at a
+time, so beyond the kept edges the build needs the scratch memory of one
+block.  Graph queries (BFS distances, diameters, connectivity) run on a
+symmetric CSR adjacency with ascending rows.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -72,12 +76,21 @@ def color_points(points: PointSet, p_blue: float, seed) -> ColorAssignment:
     return ColorAssignment(blue=rng.random(points.n) < p_blue, p_blue=p_blue, seed=seed)
 
 
+# Candidate pairs distance-tested at once by the edge sweep.  A block's
+# scratch is about 41 + 24*d bytes per candidate (2.9 MB in d=2), small
+# enough to stay in cache; larger blocks measured no faster.
+_BLOCK = 1 << 15
+
+
 class GeometricGraph:
     """G_d(n, r): edge iff Euclidean distance <= r (closed threshold).
 
-    The constructor only builds the bucket index; the CSR adjacency is
-    assembled lazily because several consumers (the embedding algorithm in
-    particular) never look at edges at all.
+    The constructor only builds the bucket index: the points sorted by
+    bucket and each bucket's start in that order.  ``edges()`` sweeps the
+    index block by block and keeps only the pairs within r; ``adjacency()``
+    turns the sorted edge list into a symmetric CSR matrix (float64 ones,
+    int32 indices, ascending rows), built lazily and cached because several
+    consumers (the embedding algorithm in particular) never look at edges.
     """
 
     def __init__(self, points: PointSet, r: float):
@@ -110,64 +123,78 @@ class GeometricGraph:
     def d(self) -> int:
         return self.points.d
 
-    def _candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Point-id pairs (i, j) from same or adjacent buckets, i from the
-        lexicographically smaller bucket (plus i < j within a bucket)."""
-        d, k = self.d, self._grid_k
-        order, starts = self._by_bucket, self._bucket_starts
-        occupied = np.unique(self._bucket_id)
-        grid = np.stack(np.unravel_index(occupied, (k,) * d), axis=-1)
+    def _edge_keys(self) -> np.ndarray:
+        """Every edge once as the int64 key u*n + v with u < v, unsorted.
 
-        lefts, rights = [], []
+        Positions below index the points sorted by bucket.  For each offset
+        of the half stencil (offsets >= 0 lexicographically, so each pair of
+        adjacent buckets is visited once), the point at position q gets a
+        row of partner positions: the points of bucket(q) + offset, or for
+        the zero offset the points after q in its own bucket.  The rows are
+        laid end to end through their cumulative lengths, and each block of
+        candidates is cut from that sequence with repeat/cumsum arithmetic,
+        so a block may start or end inside a row.
+        """
+        n, d, k = self.n, self.d, self._grid_k
+        order, starts = self._by_bucket, self._bucket_starts
+        coords = self.points.coords[order]
+        bucket = self._bucket_id[order]
+        sizes = np.diff(starts)
+        cells = np.stack(np.unravel_index(np.arange(k**d), (k,) * d))
+        pos = np.arange(n)
+        r2 = self.r**2
+        keys = [np.empty(0, dtype=np.int64)]
         for offset in np.ndindex(*(3,) * d):
             off = np.array(offset) - 1
-            if tuple(off) < tuple(np.zeros(d, dtype=int)):
+            if tuple(off) < (0,) * d:
                 continue  # mirrored by the opposite offset
-            nb = grid + off
-            ok = np.all((nb >= 0) & (nb < k), axis=1)
-            src = occupied[ok]
-            dst = np.ravel_multi_index(tuple(nb[ok].T), (k,) * d)
-            # keep only offsets into occupied buckets
-            present = starts[dst + 1] > starts[dst]
-            src, dst = src[present], dst[present]
-            for b_src, b_dst in zip(src, dst):
-                ids_a = order[starts[b_src] : starts[b_src + 1]]
-                ids_b = order[starts[b_dst] : starts[b_dst + 1]]
-                if b_src == b_dst:
-                    ii, jj = np.triu_indices(len(ids_a), k=1)
-                    lefts.append(ids_a[ii])
-                    rights.append(ids_a[jj])
-                else:
-                    pair = np.broadcast_arrays(
-                        ids_a[:, None], ids_b[None, :]
-                    )
-                    lefts.append(pair[0].ravel())
-                    rights.append(pair[1].ravel())
-        if not lefts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(lefts), np.concatenate(rights)
+            if not off.any():
+                row_start = pos + 1
+                row_len = starts[bucket + 1] - row_start
+            else:
+                nb = cells + off[:, None]
+                inside = np.all((nb >= 0) & (nb < k), axis=0)
+                dst = np.ravel_multi_index(tuple(np.clip(nb, 0, k - 1)), (k,) * d)
+                row_start = starts[dst][bucket]
+                row_len = np.where(inside, sizes[dst], 0)[bucket]
+            ends = np.cumsum(row_len)
+            # candidate t of row q pairs q with position t + shift[q]
+            shift = row_start + row_len - ends
+            total = int(ends[-1]) if n else 0
+            for lo in range(0, total, _BLOCK):
+                hi = min(lo + _BLOCK, total)
+                q0 = np.searchsorted(ends, lo, side="right")
+                q1 = np.searchsorted(ends, hi, side="left") + 1
+                first = ends[q0] - row_len[q0]
+                q = np.repeat(pos[q0:q1], row_len[q0:q1])[lo - first : hi - first]
+                p = np.arange(lo, hi) + shift[q]
+                diff = np.take(coords, q, axis=0) - np.take(coords, p, axis=0)
+                keep = np.einsum("ij,ij->i", diff, diff) <= r2
+                u, v = order[q[keep]], order[p[keep]]
+                keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+        return np.concatenate(keys)
 
     def edges(self) -> np.ndarray:
-        """(m, 2) array of edges with u < v, sorted lexicographically."""
-        i, j = self._candidate_pairs()
-        if len(i) == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        diff = self.points.coords[i] - self.points.coords[j]
-        keep = np.einsum("ij,ij->i", diff, diff) <= self.r**2 + 0.0
-        u, v = i[keep], j[keep]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        e = np.stack([lo, hi], axis=1)
-        return e[np.lexsort((e[:, 1], e[:, 0]))]
+        """(m, 2) int64 array of edges with u < v, sorted lexicographically."""
+        keys = self._edge_keys()
+        keys.sort()
+        u = keys // max(self.n, 1)
+        return np.stack([u, keys - u * self.n], axis=1)
 
     def adjacency(self) -> sparse.csr_matrix:
+        """Symmetric CSR adjacency with float64 ones and int32 indices.
+
+        Row x lists first the edges (u, x), then the edges (x, v); both
+        runs ascend because ``edges()`` is sorted and the COO-to-CSR
+        conversion keeps input order within a row, so no sort is needed.
+        """
         if self._csr is None:
-            e = self.edges()
-            n = self.n
-            row = np.concatenate([e[:, 0], e[:, 1]])
-            col = np.concatenate([e[:, 1], e[:, 0]])
-            data = np.ones(len(row), dtype=np.int8)
-            self._csr = sparse.csr_matrix((data, (row, col)), shape=(n, n))
+            e = self.edges().astype(np.int32)
+            row = np.concatenate([e[:, 1], e[:, 0]])
+            col = np.concatenate([e[:, 0], e[:, 1]])
+            del e
+            data = np.ones(len(row))
+            self._csr = sparse.csr_matrix((data, (row, col)), shape=(self.n, self.n))
         return self._csr
 
     def neighbors(self, i: int) -> np.ndarray:
@@ -184,7 +211,11 @@ class GeometricGraph:
         return float(np.dot(diff, diff)) <= self.r**2
 
     def is_connected(self) -> bool:
-        n_comp = csgraph.connected_components(self.adjacency(), directed=False)[0]
+        # strong components of a symmetric matrix are its components, and
+        # the directed search needs no transposed copy
+        n_comp = csgraph.connected_components(
+            self.adjacency(), directed=True, connection="strong", return_labels=False
+        )
         return n_comp == 1
 
 
@@ -212,7 +243,9 @@ class HopDiameter:
 
 
 def _bfs_distances(adj: sparse.csr_matrix, sources: np.ndarray) -> np.ndarray:
-    return csgraph.dijkstra(adj, directed=False, unweighted=True, indices=sources)
+    # the adjacency is symmetric, so directed search gives the undirected
+    # distances without the transposed copy an undirected call makes
+    return csgraph.dijkstra(adj, directed=True, unweighted=True, indices=sources)
 
 
 def hop_diameter(
@@ -222,14 +255,13 @@ def hop_diameter(
 
     Exact (all-source BFS) for n <= exact_cutoff; otherwise an iterated
     double-sweep lower bound, flagged via ``exact=False``.  Disconnected
-    graphs report infinity (exact either way).
+    graphs report infinity (exact either way): the first BFS already
+    reaches some vertex at distance infinity.
     """
     adj = graph.adjacency()
     n = graph.n
     if n == 1:
         return HopDiameter(0.0, True)
-    if not graph.is_connected():
-        return HopDiameter(math.inf, True)
 
     if n <= exact_cutoff:
         best = 0.0
@@ -237,6 +269,8 @@ def hop_diameter(
         for start in range(0, n, chunk):
             dist = _bfs_distances(adj, np.arange(start, min(start + chunk, n)))
             best = max(best, float(dist.max()))
+            if best == math.inf:
+                break
         return HopDiameter(best, True)
 
     # double sweep: ecc of any vertex lower-bounds the diameter; restarting
@@ -247,87 +281,10 @@ def hop_diameter(
         dist = _bfs_distances(adj, np.array([src]))[0]
         far = int(np.argmax(dist))
         ecc = float(dist[far])
+        if ecc == math.inf:
+            return HopDiameter(math.inf, True)
         if ecc <= best:
             break
         best = ecc
         src = far
     return HopDiameter(best, False)
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box [lo, hi] with closed boundary."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def contains(self, coords: np.ndarray) -> np.ndarray:
-        return np.all((coords >= self.lo) & (coords <= self.hi), axis=1)
-
-
-@dataclass(frozen=True)
-class BallRegion:
-    """Euclidean ball with closed boundary."""
-
-    center: np.ndarray
-    radius: float
-
-    def contains(self, coords: np.ndarray) -> np.ndarray:
-        d2 = np.sum((coords - self.center) ** 2, axis=1)
-        return d2 <= self.radius**2
-
-
-def count_in_region(
-    points: PointSet,
-    colors: ColorAssignment | None,
-    region,
-    color_filter: str | None = None,
-) -> int:
-    """Exact count of points inside a Box or BallRegion, optionally filtered
-    to 'red' or 'blue'.  Boundaries are closed."""
-    mask = region.contains(points.coords)
-    if color_filter is not None:
-        if colors is None:
-            raise ValueError("color_filter given but no colors provided")
-        if color_filter == "blue":
-            mask &= colors.blue
-        elif color_filter == "red":
-            mask &= colors.red
-        else:
-            raise ValueError(f"unknown color filter {color_filter!r}")
-    return int(mask.sum())
-
-
-def save_points_csv(path, points: PointSet, colors: ColorAssignment | None = None) -> None:
-    """One row per point: d coordinates, plus a color column when given."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x{k}" for k in range(points.d)]
-        if colors is not None:
-            header.append("color")
-        writer.writerow(header)
-        for i in range(points.n):
-            row = [repr(float(c)) for c in points.coords[i]]
-            if colors is not None:
-                row.append("blue" if colors.blue[i] else "red")
-            writer.writerow(row)
-
-
-def load_points_csv(path) -> tuple[PointSet, ColorAssignment | None]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_color = header[-1] == "color"
-        d = len(header) - (1 if has_color else 0)
-        coords, blue = [], []
-        for row in reader:
-            coords.append([float(c) for c in row[:d]])
-            if has_color:
-                blue.append(row[d] == "blue")
-    points = PointSet(d=d, coords=np.asarray(coords, dtype=float))
-    colors = (
-        ColorAssignment(blue=np.asarray(blue, dtype=bool), p_blue=float("nan"))
-        if has_color
-        else None
-    )
-    return points, colors

@@ -290,6 +290,14 @@ class TestProp1:
         curve = H.run_prop1_experiment(256, [0.05, 2.0, 50.0], trials=15, seed=6)
         assert curve.nondecreasing()
 
+    def test_rejected_greedy_success_raises(self, monkeypatch):
+        # a greedy success the validator rejects must stop the experiment,
+        # also under python -O, instead of being counted
+        reject = E.VerificationResult(False, ("edge", 0, 1, 2.0))
+        monkeypatch.setattr(H.embed_mod, "verify_embedding", lambda *a: reject)
+        with pytest.raises(RuntimeError, match="independent validation"):
+            H.run_prop1_experiment(128, [200.0], trials=1, seed=0)
+
 
 def test_write_rows_csv_and_json(tmp_path):
     rows = [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.5, "c": "x"}]

@@ -2,28 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 from rggembed import rgg
-
-
-def naive_count(points, colors, region, color_filter):
-    """Plain python loop oracle for count_in_region."""
-    total = 0
-    for i in range(points.n):
-        x = points.coords[i]
-        if isinstance(region, rgg.Box):
-            inside = all(region.lo[k] <= x[k] <= region.hi[k] for k in range(points.d))
-        else:
-            inside = sum((x[k] - region.center[k]) ** 2 for k in range(points.d)) <= region.radius**2
-        if not inside:
-            continue
-        if color_filter == "blue" and not colors.blue[i]:
-            continue
-        if color_filter == "red" and colors.blue[i]:
-            continue
-        total += 1
-    return total
 
 
 class TestSamplePoints:
@@ -90,6 +71,63 @@ class TestBuildGraph:
         assert np.array_equal(rgg.build_graph(pts, r).edges(), rgg.brute_force_edges(pts, r))
 
 
+# A pair at exactly distance r (every coordinate and square exact in binary)
+# whose points lie in different, touching buckets of side 1/floor(1/r).
+PLANTED = {
+    1: (5 / 16, [0.25], [0.5625]),
+    2: (5 / 16, [0.25, 0.25], [0.4375, 0.5]),
+    3: (3 / 8, [0.4375, 0.375, 0.375], [0.5625, 0.625, 0.625]),
+}
+
+
+def planted_points(d, seed, n=150):
+    r, a, b = PLANTED[d]
+    coords = np.vstack([np.random.default_rng(seed).random((n, d)), a, b])
+    return rgg.PointSet(d=d, coords=coords), r
+
+
+class TestStreamedBuild:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tiny_blocks_match_oracle(self, monkeypatch, d, seed):
+        # blocks of 7 candidates start and end inside bucket pairs and rows
+        monkeypatch.setattr(rgg, "_BLOCK", 7)
+        rng = np.random.default_rng(seed)
+        r = float(rng.uniform(0.05, 0.4))
+        pts = rgg.sample_points(int(rng.integers(50, 300)), d, seed + 50)
+        assert np.array_equal(rgg.build_graph(pts, r).edges(), rgg.brute_force_edges(pts, r))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("block", [7, 1 << 15])
+    def test_planted_pair_at_exactly_r(self, monkeypatch, d, block):
+        monkeypatch.setattr(rgg, "_BLOCK", block)
+        pts, r = planted_points(d, seed=d)
+        g = rgg.build_graph(pts, r)
+        n = pts.n
+        assert g._bucket_id[n - 2] != g._bucket_id[n - 1]
+        e = g.edges()
+        assert [n - 2, n - 1] in e.tolist()
+        assert np.array_equal(e, rgg.brute_force_edges(pts, r))
+        below = rgg.build_graph(pts, np.nextafter(r, 0.0)).edges()
+        assert [n - 2, n - 1] not in below.tolist()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_csr_invariants(self, d):
+        pts, r = planted_points(d, seed=10 + d, n=400)
+        g = rgg.build_graph(pts, r)
+        adj = g.adjacency()
+        assert adj.has_sorted_indices
+        assert adj.indices.dtype == np.int32 and adj.data.dtype == np.float64
+        assert (adj != adj.T).nnz == 0
+        assert adj.diagonal().sum() == 0
+        e = rgg.brute_force_edges(pts, r)
+        for i in range(pts.n):
+            nb = g.neighbors(i)
+            assert np.all(np.diff(nb) > 0)
+            want = np.sort(np.concatenate([e[e[:, 0] == i, 1], e[e[:, 1] == i, 0]]))
+            assert np.array_equal(nb, want)
+
+
 class TestHopDiameter:
     def test_path_example(self):
         pts = rgg.PointSet(d=1, coords=np.array([[0.05], [0.5], [0.95]]))
@@ -133,6 +171,37 @@ class TestHopDiameter:
             # double sweep is usually tight on geometric graphs
             assert approx.value >= 0.5 * exact.value
 
+    def test_sweep_reports_disconnected(self):
+        # a single BFS from vertex 0 cannot reach the far cluster
+        pts = rgg.PointSet(d=1, coords=np.array([[0.05], [0.1], [0.15], [0.8], [0.85]]))
+        g = rgg.build_graph(pts, 0.06)
+        result = rgg.hop_diameter(g, exact_cutoff=2)
+        assert result.value == math.inf and result.exact
+        assert not g.is_connected()
+
+    @pytest.mark.parametrize("sweeps", [1, 4])
+    def test_sweep_matches_undirected_reference(self, sweeps):
+        pts = rgg.sample_points(1500, 2, 31)
+        g = rgg.build_graph(pts, 0.08)
+        adj = g.adjacency()
+        assert g.is_connected()
+        src, best = 0, 0.0
+        for _ in range(sweeps):
+            dist = csgraph.dijkstra(adj, directed=False, unweighted=True, indices=src)
+            far = int(np.argmax(dist))
+            if dist[far] <= best:
+                break
+            src, best = far, float(dist[far])
+        result = rgg.hop_diameter(g, exact_cutoff=100, sweeps=sweeps)
+        assert result.value == best and not result.exact
+
+    def test_exact_matches_undirected_reference(self):
+        pts = rgg.sample_points(700, 2, 32)
+        g = rgg.build_graph(pts, 0.1)
+        dist = csgraph.dijkstra(g.adjacency(), directed=False, unweighted=True)
+        result = rgg.hop_diameter(g)
+        assert result.value == dist.max() < math.inf and result.exact
+
 
 class TestColorPoints:
     def test_extremes(self):
@@ -156,52 +225,3 @@ class TestColorPoints:
         pts = rgg.sample_points(10, 1, 2)
         with pytest.raises(ValueError):
             rgg.color_points(pts, 1.5, 0)
-
-
-class TestCountInRegion:
-    def test_whole_cube(self):
-        pts = rgg.sample_points(250, 2, 8)
-        box = rgg.Box(lo=np.zeros(2), hi=np.ones(2))
-        assert rgg.count_in_region(pts, None, box) == 250
-
-    def test_empty_region(self):
-        pts = rgg.sample_points(250, 2, 8)
-        box = rgg.Box(lo=np.array([0.5, 0.5]), hi=np.array([0.5, 0.5]))
-        ball = rgg.BallRegion(center=np.array([2.0, 2.0]), radius=0.1)
-        assert rgg.count_in_region(pts, None, box) <= 1
-        assert rgg.count_in_region(pts, None, ball) == 0
-
-    @given(seed=st.integers(0, 50), use_ball=st.booleans(), flt=st.sampled_from([None, "red", "blue"]))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_naive_scan(self, seed, use_ball, flt):
-        rng = np.random.default_rng(seed)
-        pts = rgg.sample_points(int(rng.integers(1, 400)), 2, seed)
-        colors = rgg.color_points(pts, 0.5, seed + 1)
-        if use_ball:
-            region = rgg.BallRegion(center=rng.random(2), radius=float(rng.uniform(0.05, 0.5)))
-        else:
-            lo = rng.random(2) * 0.5
-            region = rgg.Box(lo=lo, hi=lo + rng.random(2) * 0.5)
-        assert rgg.count_in_region(pts, colors, region, flt) == naive_count(pts, colors, region, flt)
-
-    def test_filter_requires_colors(self):
-        pts = rgg.sample_points(10, 2, 0)
-        box = rgg.Box(lo=np.zeros(2), hi=np.ones(2))
-        with pytest.raises(ValueError):
-            rgg.count_in_region(pts, None, box, "blue")
-
-
-def test_points_csv_roundtrip(tmp_path):
-    pts = rgg.sample_points(50, 3, 13)
-    colors = rgg.color_points(pts, 0.5, 14)
-    path = tmp_path / "points.csv"
-    rgg.save_points_csv(path, pts, colors)
-    loaded, loaded_colors = rgg.load_points_csv(path)
-    assert loaded.d == 3
-    assert np.array_equal(loaded.coords, pts.coords)
-    assert np.array_equal(loaded_colors.blue, colors.blue)
-
-    rgg.save_points_csv(path, pts)
-    loaded, loaded_colors = rgg.load_points_csv(path)
-    assert loaded_colors is None
-    assert np.array_equal(loaded.coords, pts.coords)
