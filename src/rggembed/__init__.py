@@ -12,7 +12,6 @@ The package has one module per stage of the pipeline:
 """
 
 from .geometry import (
-    ThresholdParams,
     Tessellation,
     TransitBalls,
     BallSystem,
@@ -22,7 +21,6 @@ from .geometry import (
     simulation_epsilon,
     choose_odd_s,
     build_tessellation,
-    transit_balls,
 )
 from .rgg import (
     PointSet,
@@ -46,7 +44,6 @@ from .trees import (
 )
 from .decompose import (
     Decomposition,
-    weighted_centroid,
     split_tree,
     compute_levels,
 )

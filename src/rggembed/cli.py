@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import asdict
 
 from . import geometry, harness
 
@@ -65,12 +63,10 @@ def _config_from_args(args, trials: int) -> harness.ExperimentConfig:
         m_override=args.m,
         fix_tree=getattr(args, "fix_tree", False),
         compute_event_a=not args.no_event_a,
-        output_format=args.format,
-        output_path=args.out,
     )
 
 
-def _emit(rows, args, default_name: str) -> None:
+def _emit(rows, args) -> None:
     if args.out:
         harness.write_rows(args.out, rows, args.format)
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -85,7 +81,7 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args, args.trials)
     curve = harness.run_threshold_sweep(config)
     rows = [p.to_row() for p in curve.points]
-    _emit(rows, args, "sweep")
+    _emit(rows, args)
     print(
         "monotone (95%):",
         curve.nondecreasing(),
@@ -103,7 +99,7 @@ def _cmd_trial(args) -> int:
     r, mult = radii[0]
     record = harness.run_universality_trial(config, r, args.seed, r_multiplier=mult)
     rows = [record.to_row()]
-    _emit(rows, args, "trial")
+    _emit(rows, args)
     return 0
 
 
@@ -122,7 +118,7 @@ def _cmd_lowerbound(args) -> int:
         args.n, args.d, args.delta, r, args.trials, args.seed,
         exact_cutoff=args.exact_diameter_cutoff,
     )
-    _emit(record.to_rows(), args, "lowerbound")
+    _emit(record.to_rows(), args)
     print(
         f"h = {record.h}, 2h = {record.two_h}, "
         f"obstruction fraction = {record.obstruction_fraction:.3f}, "
@@ -136,7 +132,7 @@ def _cmd_concentration(args) -> int:
     record = harness.run_concentration_check(
         args.n, args.a, args.p, args.trials, args.seed
     )
-    _emit(record.to_rows(), args, "concentration")
+    _emit(record.to_rows(), args)
     lo, hi = record.wilson()
     print(
         f"violation frequency = {record.violation_frequency:.4f} "
@@ -147,7 +143,7 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_prop1(args) -> int:
     curve = harness.run_prop1_experiment(args.n, args.c, args.trials, args.seed)
-    _emit([p.to_row() for p in curve.points], args, "prop1")
+    _emit([p.to_row() for p in curve.points], args)
     print(
         "monotone (95%):",
         curve.nondecreasing(),

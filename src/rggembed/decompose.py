@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .trees import Tree, adjacency_arrays
+from .trees import Tree, adjacency_arrays, tree_graph
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class _RootedTree:
 
     def __init__(self, tree: Tree, w: np.ndarray):
         n = tree.n
-        graph = anchor_graph(tree, np.zeros(n, dtype=np.int64), ())
-        order, pred = csgraph.depth_first_order(graph, 0, return_predecessors=True)
+        order, pred = csgraph.depth_first_order(tree_graph(tree), 0, return_predecessors=True)
         self.ids = order.astype(np.int64)          # vertex id at each position
         pos = np.empty(n, dtype=np.int64)
         pos[self.ids] = np.arange(n)
@@ -119,16 +118,6 @@ class _RootedTree:
         if best_i >= 0:
             return int(ids[c]), best_id, inside, rest
         return int(ids[c]), best_id, rest, inside
-
-
-def weighted_centroid(tree: Tree, w=None) -> int:
-    """Vertex minimising the maximum component weight of T minus that vertex;
-    ties broken by smallest vertex id."""
-    w = _as_weights(tree, w)
-    if tree.n == 1:
-        return 0
-    v, _, _, _ = _RootedTree(tree, w).centroid_cut(np.arange(tree.n))
-    return v
 
 
 def _as_weights(tree: Tree, w) -> np.ndarray:
@@ -236,51 +225,64 @@ def compute_levels(decomposition: Decomposition, tree: Tree) -> np.ndarray:
     return levels
 
 
+def _require(ok, message: str) -> None:
+    # an explicit raise, unlike ``assert``, survives ``python -O``
+    if not ok:
+        raise AssertionError(message)
+
+
 def check_decomposition(tree: Tree, w, m: float, delta: int,
                         decomp: Decomposition) -> None:
-    """Raise AssertionError unless every decomposition invariant holds."""
+    """Raise AssertionError unless every decomposition invariant holds.
+
+    Works from the tree's own adjacency arrays, not from the walks that
+    built the decomposition.
+    """
     w = _as_weights(tree, w)
     m0 = m / (delta + 1)
     n = tree.n
     k = decomp.k
 
     all_vertices = sorted(v for part in decomp.parts for v in part)
-    assert all_vertices == list(range(n)), "parts do not partition V(T)"
+    _require(all_vertices == list(range(n)), "parts do not partition V(T)")
+    owner = np.empty(n, dtype=np.int64)
+    for idx, part in enumerate(decomp.parts):
+        owner[list(part)] = idx
+    _require(np.array_equal(decomp.part_of, owner), "part_of disagrees with parts")
 
-    assert len(decomp.cut_edges) == k - 1, "expected k-1 cut edges"
-    assert len(decomp.anchors) <= max(0, 2 * k - 2), "too many anchors"
-    assert set(decomp.anchors) == {x for e in decomp.cut_edges for x in e}
+    _require(len(decomp.cut_edges) == k - 1, "expected k-1 cut edges")
+    _require(len(decomp.anchors) <= max(0, 2 * k - 2), "too many anchors")
+    _require(set(decomp.anchors) == {x for e in decomp.cut_edges for x in e},
+             "anchors are not the endpoints of the cut edges")
 
     total = float(w.sum())
-    assert k <= total / m0 + 1e-9, "k exceeds w(T)/m0"
+    _require(k <= total / m0 + 1e-9, "k exceeds w(T)/m0")
 
-    part_of = decomp.part_of
-    edge_set = {tuple(sorted(e)) for e in tree.edges()}
+    tails, heads = adjacency_arrays(tree)
+    forward = tails < heads
+    edge_set = set(zip(tails[forward].tolist(), heads[forward].tolist()))
     for e in decomp.cut_edges:
-        assert e in edge_set, f"cut edge {e} is not a tree edge"
-        assert part_of[e[0]] != part_of[e[1]], f"cut edge {e} inside a part"
+        _require(tuple(e) in edge_set, f"cut edge {e} is not a tree edge")
+        _require(owner[e[0]] != owner[e[1]], f"cut edge {e} inside a part")
 
+    # connectivity: the tree's edges inside parts join each part into one
+    # component
+    inside = owner[tails] == owner[heads]
+    graph = sparse.csr_matrix(
+        (np.ones(int(inside.sum()), dtype=np.int8), (tails[inside], heads[inside])),
+        shape=(n, n),
+    )
+    _, label = csgraph.connected_components(graph, directed=False)
     for idx, part in enumerate(decomp.parts):
         weight = float(w[list(part)].sum())
-        assert m0 - 1e-9 <= weight <= m + 1e-9, (
-            f"part {idx} weight {weight:.6g} outside [{m0:.6g}, {m:.6g}]"
-        )
-        # connectivity inside the part
-        part_set = set(part)
-        seen = {part[0]}
-        stack = [part[0]]
-        while stack:
-            x = stack.pop()
-            for y in tree.adj[x]:
-                if y in part_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        assert seen == part_set, f"part {idx} is not connected"
+        _require(m0 - 1e-9 <= weight <= m + 1e-9,
+                 f"part {idx} weight {weight:.6g} outside [{m0:.6g}, {m:.6g}]")
+        _require(np.all(label[list(part)] == label[part[0]]), f"part {idx} is not connected")
 
     # BFS levels: adjacent same-part vertices differ by at most one level;
     # every cut edge joins two level-0 vertices
-    for u, v in tree.edges():
-        if part_of[u] == part_of[v]:
-            assert abs(int(decomp.levels[u]) - int(decomp.levels[v])) <= 1
-    for u, v in decomp.cut_edges:
-        assert decomp.levels[u] == 0 and decomp.levels[v] == 0
+    levels = decomp.levels
+    _require(np.all(np.abs(levels[tails[inside]] - levels[heads[inside]]) <= 1),
+             "levels of adjacent same-part vertices differ by more than one")
+    _require(all(levels[u] == 0 and levels[v] == 0 for u, v in decomp.cut_edges),
+             "a cut edge has an endpoint off level 0")

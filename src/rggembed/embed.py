@@ -29,10 +29,8 @@ structured failure when it does not hold.
 
 from __future__ import annotations
 
-import json
 import math
-from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -40,7 +38,7 @@ from scipy.spatial import cKDTree
 
 from .geometry import BallSystem, Tessellation
 from .rgg import ColorAssignment, GeometricGraph, PointSet
-from .trees import Tree, adjacency_arrays, bfs_order
+from .trees import Tree, adjacency_arrays, tree_graph
 from .decompose import Decomposition, anchor_graph, split_tree
 
 
@@ -178,16 +176,6 @@ class Embedding:
     def ok(self) -> bool:
         return self.status == "success"
 
-    def failure_json(self) -> str:
-        payload = {
-            "status": self.status,
-            "failure": asdict(self.failure) if self.failure else None,
-            "diagnostics": {
-                k: v for k, v in self.diagnostics.items() if not isinstance(v, np.ndarray)
-            },
-        }
-        return json.dumps(payload, default=str)
-
 
 class _PointPools:
     """Occupancy bookkeeping: per-cell, per-cell-blue and per-ball id pools,
@@ -279,8 +267,10 @@ def _part_schedules(tree: Tree, decomp: Decomposition, eta: int):
     through the tail.
     """
     if not decomp.anchors:
-        order, _ = bfs_order(tree, decomp.parts[0][:1])
-        yield [[] for _ in range(eta + 1)], order
+        order = csgraph.breadth_first_order(
+            tree_graph(tree), decomp.parts[0][0], return_predecessors=False
+        )
+        yield [[] for _ in range(eta + 1)], order.tolist()
         return
     graph = anchor_graph(tree, decomp.part_of, decomp.anchors)
     order = csgraph.breadth_first_order(graph, tree.n, return_predecessors=False)[1:]
@@ -678,55 +668,24 @@ def greedy_line_embed(tree: Tree, graph: GeometricGraph) -> Embedding:
         return i
 
     mapping = np.full(n, -1, dtype=np.int64)
-
+    # BFS from vertex 0: each vertex is placed from its BFS parent's point,
+    # in the order a queue would reach it
+    order, pred = csgraph.breadth_first_order(tree_graph(tree), 0, return_predecessors=True)
     root_pos = find(0)
     mapping[0] = by_x[root_pos]
     nxt[root_pos] = root_pos + 1
-
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
+    for v in order[1:].tolist():
+        u = int(pred[v])
         xu = xs[mapping[u]]
-        for v in tree.adj[u]:
-            if mapping[v] >= 0:
-                continue
-            lo = int(np.searchsorted(sorted_x, xu - r, side="left"))
-            hi = int(np.searchsorted(sorted_x, xu + r, side="right")) - 1
-            pos = find(lo)
-            if pos > hi:
-                return Embedding(
-                    map=mapping,
-                    status="failure",
-                    failure=FailureInfo(
-                        iteration=0,
-                        step=2,
-                        resource="line-window",
-                        resource_id=v,
-                        demanded=1,
-                        available=0,
-                        message=(
-                            f"no unoccupied point within r of vertex {u}'s point "
-                            f"for child {v}"
-                        ),
-                    ),
-                )
-            mapping[v] = by_x[pos]
-            nxt[pos] = pos + 1
-            queue.append(v)
+        lo = int(np.searchsorted(sorted_x, xu - r, side="left"))
+        hi = int(np.searchsorted(sorted_x, xu + r, side="right")) - 1
+        pos = find(lo)
+        if pos > hi:
+            return _failed(mapping, {}, FailureInfo(
+                iteration=0, step=2, resource="line-window", resource_id=v,
+                demanded=1, available=0,
+                message=f"no unoccupied point within r of vertex {u}'s point for child {v}",
+            ))
+        mapping[v] = by_x[pos]
+        nxt[pos] = pos + 1
     return Embedding(map=mapping, status="success")
-
-
-def embedding_to_csv(path, embedding: Embedding, points: PointSet) -> None:
-    """Rows of vertex id, point id and the point's coordinates."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["vertex", "point"] + [f"x{k}" for k in range(points.d)])
-        for v, p in enumerate(embedding.map):
-            row = [v, int(p)]
-            if p >= 0:
-                row += [repr(float(c)) for c in points.coords[p]]
-            else:
-                row += [""] * points.d
-            writer.writerow(row)

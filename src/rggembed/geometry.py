@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "GeometryInfeasible",
-    "ThresholdParams",
     "Tessellation",
     "TransitBalls",
     "BallSystem",
@@ -47,7 +46,6 @@ __all__ = [
     "simulation_epsilon",
     "choose_odd_s",
     "build_tessellation",
-    "transit_balls",
     "verify_transit_balls",
 ]
 
@@ -97,28 +95,6 @@ def simulation_epsilon(n: int, d: int, delta: int, override: float | None = None
             raise ValueError(f"epsilon_eff must be positive, got {override}")
         return float(override)
     return min(epsilon_param(n, d, delta), 0.5)
-
-
-@dataclass(frozen=True)
-class ThresholdParams:
-    """The scalar quantities the pipeline derives from (n, d, delta)."""
-
-    n: int
-    d: int
-    delta: int
-    r_c: float
-    epsilon: float
-    log_base: str = "natural"
-
-    @classmethod
-    def compute(cls, n: int, d: int, delta: int) -> "ThresholdParams":
-        return cls(
-            n=n,
-            d=d,
-            delta=delta,
-            r_c=critical_radius(n, d, delta),
-            epsilon=epsilon_param(n, d, delta),
-        )
 
 
 def _select_odd_s(s_lo: float, s_hi: float) -> int:
@@ -262,7 +238,7 @@ class TransitBalls:
     radius 2^-d * epsilon_eff / (10 s).  ``cells[j]`` is the cell containing
     ball j and ``in_enclosing[j]`` records whether the ball stayed inside the
     ideal enclosing ball of radius epsilon_eff / (10 s) (it can be pushed out
-    when the segment grazes a cell corner; see ``transit_balls``).
+    when the segment grazes a cell corner; see ``_segment_ball_positions``).
     """
 
     target_cell: int
@@ -485,28 +461,3 @@ def verify_transit_balls(tess: Tessellation, balls: TransitBalls, r: float) -> B
         max_gap=max_gap,
         all_in_enclosing=bool(balls.in_enclosing.all()),
     )
-
-
-def transit_balls(
-    tess: Tessellation, target_cell: int, epsilon_eff: float, r: float
-) -> TransitBalls:
-    """Transit balls for one target cell, verified against P1-P3.
-
-    Raises GeometryInfeasible when epsilon_eff is at or above the
-    feasibility limit, or when the consecutive-ball reach exceeds r.
-    """
-    system = BallSystem(tess, epsilon_eff)
-    balls = system.for_target(target_cell)
-    check = verify_transit_balls(tess, balls, r)
-    if not (check.p1 and check.p2):
-        raise AssertionError(
-            f"transit ball construction violated P1/P2 for target {target_cell}"
-        )
-    if not check.p3:
-        raise GeometryInfeasible(
-            f"transit balls for target {target_cell} have consecutive gap "
-            f"{check.max_gap:.6g} > r = {r:.6g}",
-            max_gap=check.max_gap,
-            r=r,
-        )
-    return balls

@@ -88,8 +88,6 @@ class ExperimentConfig:
     fix_tree: bool = False
     compute_event_a: bool = True
     store_embeddings: bool = True
-    output_format: str = "csv"
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.n < 1:

@@ -1,20 +1,24 @@
-"""Tree type and the generators the experiments draw from.
+"""Tree type, its array form, and the generators the experiments draw from.
 
 Four families: the truncated regular tree (the diameter obstruction used by
 the lower-bound experiment), uniform random labelled trees (random Pruefer
 sequence decode), degree-capped random attachment trees (test load for the
 embedding trials), and paths/stars as extremal shapes.
+
+Every walk over a tree runs on its CSR (``tree_graph``, rows in ascending
+neighbour order) through ``scipy.sparse.csgraph``, so a breadth-first
+order visits neighbours in id order; ``hop_distances`` is the one-source
+BFS that heights, widths and diameters are read from.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,8 @@ class Tree:
         adj = [[] for _ in range(n)]
         count = 0
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             adj[u].append(v)
@@ -51,18 +57,7 @@ class Tree:
         return tree
 
     def _is_connected(self) -> bool:
-        seen = bytearray(self.n)
-        seen[0] = 1
-        stack = [0]
-        reached = 1
-        while stack:
-            u = stack.pop()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    reached += 1
-                    stack.append(v)
-        return reached == self.n
+        return bool(np.all(hop_distances(self, 0) >= 0))
 
 
 def adjacency_arrays(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
@@ -76,27 +71,22 @@ def adjacency_arrays(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(tree.n, dtype=np.int32), degrees), heads
 
 
-def bfs_order(tree: Tree, sources, within=None) -> tuple[list[int], dict[int, int]]:
-    """BFS visit order and hop distances from a set of sources.
+def tree_graph(tree: Tree) -> sparse.csr_matrix:
+    """The tree as an n x n CSR matrix, each edge in both directions and
+    every row in ascending neighbour order."""
+    tails, heads = adjacency_arrays(tree)
+    indptr = np.zeros(tree.n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(tails, minlength=tree.n))
+    return sparse.csr_matrix(
+        (np.ones(len(heads), dtype=np.int8), heads, indptr), shape=(tree.n, tree.n)
+    )
 
-    ``within`` optionally restricts the walk to a vertex subset.
-    """
-    allowed = None if within is None else set(within)
-    dist: dict[int, int] = {}
-    order: list[int] = []
-    queue = deque()
-    for s in sorted(sources):
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in tree.adj[u]:
-            if v in dist or (allowed is not None and v not in allowed):
-                continue
-            dist[v] = dist[u] + 1
-            queue.append(v)
-    return order, dist
+
+def hop_distances(tree: Tree, source: int) -> np.ndarray:
+    """Hop distance from ``source`` to every vertex (one BFS), int64; -1
+    marks a vertex the walk does not reach."""
+    dist = csgraph.shortest_path(tree_graph(tree), indices=source, unweighted=True)
+    return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
 def height_h(n: int, delta: int) -> int:
@@ -228,15 +218,12 @@ def star_tree(n: int) -> Tree:
 
 def height_from(tree: Tree, v: int) -> int:
     """Eccentricity of v: the deepest BFS level reached from it."""
-    _, dist = bfs_order(tree, [v])
-    return max(dist.values())
+    return int(hop_distances(tree, v).max())
 
 
 def width_from(tree: Tree, v: int) -> int:
     """Largest BFS level size when the tree is rooted at v."""
-    _, dist = bfs_order(tree, [v])
-    counts = np.bincount(np.fromiter(dist.values(), dtype=np.int64))
-    return int(counts.max())
+    return int(np.bincount(hop_distances(tree, v)).max())
 
 
 @dataclass(frozen=True)
@@ -246,29 +233,7 @@ class TreeStats:
 
 
 def tree_stats(tree: Tree) -> TreeStats:
-    """Max degree and exact diameter (double BFS, exact on trees)."""
-    if tree.n == 1:
-        return TreeStats(max_degree=0, diameter=0)
-    _, dist = bfs_order(tree, [0])
-    far = max(dist, key=lambda v: (dist[v], -v))
-    _, dist2 = bfs_order(tree, [far])
-    return TreeStats(max_degree=tree.max_degree(), diameter=max(dist2.values()))
-
-
-def save_tree_csv(path, tree: Tree) -> None:
-    """Edge list with a `u,v` header; a single-vertex tree writes no rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v"])
-        for u, v in tree.edges():
-            writer.writerow([u, v])
-
-
-def load_tree_csv(path, n: int | None = None) -> Tree:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        edges = [(int(u), int(v)) for u, v in reader]
-    if n is None:
-        n = max((max(u, v) for u, v in edges), default=0) + 1
-    return Tree.from_edges(n, edges)
+    """Max degree and exact diameter (double BFS, exact on trees); the far
+    end of the first sweep is the smallest id at the largest distance."""
+    far = int(np.argmax(hop_distances(tree, 0)))
+    return TreeStats(max_degree=tree.max_degree(), diameter=height_from(tree, far))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,11 +10,32 @@ from hypothesis import given, settings, strategies as st
 from rggembed import trees
 from rggembed.decompose import (
     Decomposition,
+    _RootedTree,
     check_decomposition,
     compute_levels,
     split_tree,
-    weighted_centroid,
 )
+
+
+def weighted_centroid(tree, w=None):
+    """The centroid ``split_tree`` cuts at: the vertex minimising the
+    heaviest component of T minus it, ties to the smallest id."""
+    w = np.ones(tree.n) if w is None else np.asarray(w, dtype=np.float64)
+    return _RootedTree(tree, w).centroid_cut(np.arange(tree.n))[0]
+
+
+def bfs_distances(tree, root, within=None):
+    """Oracle: hop distances from root via a hand-rolled BFS, optionally
+    restricted to the vertex set ``within``."""
+    dist = {root: 0}
+    q = deque([root])
+    while q:
+        u = q.popleft()
+        for v in tree.adj[u]:
+            if v not in dist and (within is None or v in within):
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return dist
 
 
 def brute_force_centroid(tree, w):
@@ -242,6 +268,87 @@ class TestComputeLevels:
             if not anchor_set:
                 assert dec.levels[v] == 0
                 continue
-            _, dist = trees.bfs_order(tree, [v], within=dec.parts[part_of[v]])
+            dist = bfs_distances(tree, v, within=set(dec.parts[part_of[v]]))
             expected = min(dist[a] for a in anchor_set if part_of[a] == part_of[v])
             assert dec.levels[v] == expected
+
+
+_CORRUPTED = """
+from rggembed import trees
+from rggembed.decompose import Decomposition, check_decomposition, split_tree
+import numpy as np
+
+tree = trees.path_tree(10)
+dec = split_tree(tree, None, 6.0, 2)
+if dec.k < 2:
+    raise SystemExit("the example needs a split with cut edges")
+# one part holding every vertex, but the cut edges and anchors kept
+bad = Decomposition(
+    parts=(tuple(range(10)),),
+    part_of=np.zeros(10, dtype=np.int64),
+    cut_edges=dec.cut_edges,
+    anchors=dec.anchors,
+    levels=dec.levels,
+)
+try:
+    check_decomposition(tree, None, 6.0, 2, bad)
+except AssertionError as exc:
+    print("rejected:", exc)
+else:
+    print("accepted")
+"""
+
+
+class TestCheckDecomposition:
+    def test_rejects_single_part_with_cut_edges(self):
+        tree = trees.path_tree(10)
+        dec = split_tree(tree, None, 6.0, 2)
+        bad = Decomposition(
+            parts=(tuple(range(10)),),
+            part_of=np.zeros(10, dtype=np.int64),
+            cut_edges=dec.cut_edges,
+            anchors=dec.anchors,
+            levels=dec.levels,
+        )
+        with pytest.raises(AssertionError, match="k-1 cut edges"):
+            check_decomposition(tree, None, 6.0, 2, bad)
+
+    def test_rejects_disconnected_part(self):
+        tree = trees.path_tree(6)
+        # {0, 1, 2} and {3, 4, 5} relabelled as {0, 1, 5} and {2, 3, 4}
+        bad = Decomposition(
+            parts=((0, 1, 5), (2, 3, 4)),
+            part_of=np.array([0, 0, 1, 1, 1, 0]),
+            cut_edges=((1, 2),),
+            anchors=(1, 2),
+            levels=np.array([1, 0, 0, 1, 2, 3]),
+        )
+        with pytest.raises(AssertionError, match="part 0 is not connected"):
+            check_decomposition(tree, None, 4.0, 2, bad)
+
+    def test_rejects_part_of_mismatch(self):
+        tree = trees.path_tree(10)
+        dec = split_tree(tree, None, 6.0, 2)
+        bad = Decomposition(
+            parts=dec.parts,
+            part_of=dec.part_of[::-1].copy(),
+            cut_edges=dec.cut_edges,
+            anchors=dec.anchors,
+            levels=dec.levels,
+        )
+        with pytest.raises(AssertionError, match="part_of"):
+            check_decomposition(tree, None, 6.0, 2, bad)
+
+    def test_rejects_under_optimize_flag(self):
+        # the checker must not be a chain of bare asserts, which -O strips
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _CORRUPTED],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("rejected: expected k-1 cut edges"), out.stdout

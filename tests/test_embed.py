@@ -1,7 +1,9 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rggembed import geometry as G, rgg, trees
 from rggembed import embed as E
@@ -265,6 +267,35 @@ class TestVerifyEmbedding:
         assert E.verify_embedding(tree, graph, partial).violation[0] == "unassigned"
 
 
+def reference_greedy(tree, xs, r):
+    """The 1-d greedy as a plain queue BFS from vertex 0: each child takes
+    the left-most free point (by x, then id) within r of its parent's point.
+    Returns the map and the vertex that found no point (None on success)."""
+    by_x = sorted(range(len(xs)), key=lambda p: (xs[p], p))
+    free = [True] * len(xs)
+    mapping = [-1] * tree.n
+
+    def take(lo, hi):
+        for pos, p in enumerate(by_x):
+            if free[pos] and lo <= xs[p] <= hi:
+                free[pos] = False
+                return p
+        return -1
+
+    mapping[0] = take(-math.inf, math.inf)
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in tree.adj[u]:
+            if mapping[v] >= 0:
+                continue
+            mapping[v] = take(xs[mapping[u]] - r, xs[mapping[u]] + r)
+            if mapping[v] < 0:
+                return mapping, v
+            queue.append(v)
+    return mapping, None
+
+
 class TestGreedyLineEmbed:
     def test_path_in_order(self):
         points = rgg.PointSet(d=1, coords=np.array([[0.1], [0.2], [0.3]]))
@@ -298,6 +329,17 @@ class TestGreedyLineEmbed:
                 wins += 1
                 assert E.verify_embedding(tree, g, result).ok
         assert wins > 0
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 120), c=st.floats(0.5, 4.0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_queue_reference(self, seed, n, c):
+        pts = rgg.sample_points(n, 1, seed)
+        g = rgg.build_graph(pts, min(c * n**-0.5, 1.0))
+        tree = trees.uniform_random_tree(n, seed + 1) if n > 1 else trees.path_tree(1)
+        result = E.greedy_line_embed(tree, g)
+        expected_map, failed_at = reference_greedy(tree, pts.coords[:, 0], g.r)
+        assert result.map.tolist() == expected_map
+        assert (result.failure.resource_id if result.failure else None) == failed_at
 
     def test_requires_1d(self):
         pts = rgg.sample_points(4, 2, 0)
@@ -354,18 +396,3 @@ def test_soundness_mini_batch():
             assert result.failure is not None
             assert result.failure.step in (0, 1, 2)
     assert successes >= 4
-
-
-def test_failure_json_and_csv_dump(tmp_path):
-    tree, graph, colors, tess, balls = planted_instance(all_centre_blue=True)
-    result = E.embed_tree(tree, graph, colors, tess, balls, m=5.0, delta=3)
-    payload = result.failure_json()
-    assert '"step": 1' in payload
-
-    ok_tree, ok_graph, ok_colors, tess, balls = planted_instance()
-    ok = E.embed_tree(ok_tree, ok_graph, ok_colors, tess, balls, m=5.0, delta=3)
-    path = tmp_path / "embedding.csv"
-    E.embedding_to_csv(path, ok, ok_graph.points)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "vertex,point,x0"
-    assert len(lines) == 13

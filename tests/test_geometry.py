@@ -183,7 +183,7 @@ class TestTransitBalls:
     def test_d1_s9_example(self):
         t = G.build_tessellation(1, 9)
         eps = 0.5
-        tb = G.transit_balls(t, 0, eps, r=0.5)
+        tb = G.BallSystem(t, eps).for_target(0)
         assert tb.radius == pytest.approx(eps / 180)  # 2^-1 * eps / (10 s)
         assert tb.nu_cell == 1
         # eta = 3: centres spaced evenly from the cube centre to c(nu)
@@ -202,12 +202,13 @@ class TestTransitBalls:
     def test_epsilon_limit(self):
         t = G.build_tessellation(1, 9)
         with pytest.raises(G.GeometryInfeasible, match="infeasible at epsilon"):
-            G.transit_balls(t, 0, 6.0, r=1.0)
+            G.BallSystem(t, 6.0)
 
     def test_p3_violation_reported(self):
         t = G.build_tessellation(1, 9)
-        with pytest.raises(G.GeometryInfeasible, match="consecutive gap"):
-            G.transit_balls(t, 0, 0.5, r=0.01)
+        chk = G.verify_transit_balls(t, G.BallSystem(t, 0.5).for_target(0), r=0.01)
+        assert chk.p1 and chk.p2
+        assert chk.p3 is False and chk.max_gap > 0.01
 
     def test_central_target_rejected(self):
         t = G.build_tessellation(1, 9)

@@ -9,28 +9,30 @@ from scipy import stats as sstats
 from rggembed import trees
 
 
-def bfs_levels(tree, root):
-    """Oracle: level sizes via a hand-rolled BFS."""
+def bfs_distances(tree, root, within=None):
+    """Oracle: hop distances from root via a hand-rolled BFS, optionally
+    restricted to the vertex set ``within``."""
     dist = {root: 0}
     q = deque([root])
     while q:
         u = q.popleft()
         for v in tree.adj[u]:
-            if v not in dist:
+            if v not in dist and (within is None or v in within):
                 dist[v] = dist[u] + 1
                 q.append(v)
+    return dist
+
+
+def bfs_levels(tree, root):
+    """Oracle: level sizes from ``bfs_distances``."""
     sizes = {}
-    for lv in dist.values():
+    for lv in bfs_distances(tree, root).values():
         sizes[lv] = sizes.get(lv, 0) + 1
     return sizes
 
 
 def all_pairs_diameter(tree):
-    best = 0
-    for v in range(tree.n):
-        _, dist = trees.bfs_order(tree, [v])
-        best = max(best, max(dist.values()))
-    return best
+    return max(max(bfs_distances(tree, v).values()) for v in range(tree.n))
 
 
 class TestHeight:
@@ -160,14 +162,36 @@ class TestTreeType:
         with pytest.raises(ValueError, match="connected"):
             trees.Tree.from_edges(4, [(0, 1), (0, 1), (2, 3)])
 
-    def test_csv_roundtrip(self, tmp_path):
-        t = trees.uniform_random_tree(30, 77)
-        path = tmp_path / "tree.csv"
-        trees.save_tree_csv(path, t)
-        loaded = trees.load_tree_csv(path)
-        assert loaded.adj == t.adj
+    def test_out_of_range_endpoints(self):
+        with pytest.raises(ValueError, match="outside"):
+            trees.Tree.from_edges(2, [(0, -1)])
+        with pytest.raises(ValueError, match="outside"):
+            trees.Tree.from_edges(3, [(0, 1), (1, -1)])
+        with pytest.raises(ValueError, match="outside"):
+            trees.Tree.from_edges(3, [(0, 1), (1, 3)])
 
-    def test_csv_single_vertex(self, tmp_path):
-        path = tmp_path / "tiny.csv"
-        trees.save_tree_csv(path, trees.path_tree(1))
-        assert trees.load_tree_csv(path, n=1).n == 1
+
+class TestWalks:
+    def test_tree_graph_rows_ascending_and_symmetric(self):
+        t = trees.random_bounded_degree_tree(60, 4, 5)
+        g = trees.tree_graph(t)
+        assert g.shape == (60, 60) and (g != g.T).nnz == 0
+        for v in range(t.n):
+            assert g.indices[g.indptr[v] : g.indptr[v + 1]].tolist() == list(t.adj[v])
+
+    @given(seed=st.integers(0, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_hop_distances_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        t = trees.uniform_random_tree(n, seed) if n > 1 else trees.path_tree(1)
+        source = int(rng.integers(n))
+        dist = trees.hop_distances(t, source)
+        assert dist.dtype == np.int64
+        expected = bfs_distances(t, source)
+        assert dist.tolist() == [expected[v] for v in range(n)]
+
+    def test_single_vertex(self):
+        t = trees.path_tree(1)
+        assert trees.tree_stats(t) == trees.TreeStats(0, 0)
+        assert trees.height_from(t, 0) == 0 and trees.width_from(t, 0) == 1
