@@ -178,8 +178,14 @@ class Embedding:
 
 
 class _PointPools:
-    """Occupancy bookkeeping: per-cell, per-cell-blue and per-ball id pools,
-    each consumed in ascending point id order."""
+    """Occupancy bookkeeping: per-cell, per-cell-blue and per-ball id pools.
+
+    Each pool is an ascending id array consumed through a pointer: a take
+    scans the pool from its pointer, keeps the first ``want`` unoccupied
+    ids, and leaves the pointer just past the last id taken, or at the end
+    when it fell short.  Every id before the pointer is occupied, so no take
+    ever looks at it again.  Each pool lies inside one cell.
+    """
 
     def __init__(self, points: PointSet, colors: ColorAssignment, tess: Tessellation):
         n = points.n
@@ -194,66 +200,64 @@ class _PointPools:
         self.occupied = np.zeros(n, dtype=bool)
         self.unocc = np.bincount(self.cell_id, minlength=tess.n_cells).astype(np.int64)
         self._any_ptr = self.cell_starts[:-1].copy()
-        self._special: dict[tuple, list] = {}   # lazily built id lists
+        self._special: dict[tuple, np.ndarray] = {}   # lazily built id pools
         self._special_ptr: dict[tuple, int] = {}
 
     def occupy(self, pid: int) -> None:
         self.occupied[pid] = True
         self.unocc[self.cell_id[pid]] -= 1
 
+    def occupy_many(self, pids: np.ndarray) -> None:
+        """Mark distinct, unoccupied point ids occupied."""
+        self.occupied[pids] = True
+        self.unocc -= np.bincount(self.cell_id[pids], minlength=len(self.unocc))
+
     def cell_slice(self, cell: int) -> np.ndarray:
         return self.sorted_ids[self.cell_starts[cell] : self.cell_starts[cell + 1]]
 
-    def take_any_from_cell(self, cell: int, want: int) -> list[int]:
+    def _take(self, ids: np.ndarray, cell: int, want: int) -> tuple[np.ndarray, int]:
+        """Take the first ``want`` unoccupied ids of ``ids`` (all in
+        ``cell``); return them and how far the pointer moves."""
         if want <= 0:
-            return []
-        ptr, end = self._any_ptr[cell], self.cell_starts[cell + 1]
-        ids = self.sorted_ids[ptr:end]
+            return ids[:0], 0
         free = np.flatnonzero(~self.occupied[ids])[:want]
         taken = ids[free]
         self.occupied[taken] = True
         self.unocc[cell] -= len(taken)
-        # the pointer stops just past the last point taken, or at the end
-        self._any_ptr[cell] = ptr + free[-1] + 1 if len(free) == want else end
-        return taken.tolist()
+        return taken, free[-1] + 1 if len(free) == want else len(ids)
 
-    def _pool(self, key: tuple, build) -> tuple[list, int]:
+    def take_any_from_cell(self, cell: int, want: int) -> np.ndarray:
+        ptr = self._any_ptr[cell]
+        taken, step = self._take(self.sorted_ids[ptr : self.cell_starts[cell + 1]], cell, want)
+        self._any_ptr[cell] = ptr + step
+        return taken
+
+    def _take_special(self, key: tuple, build, cell: int, want: int) -> np.ndarray:
         if key not in self._special:
             self._special[key] = build()
             self._special_ptr[key] = 0
-        return self._special[key], self._special_ptr[key]
-
-    def _take_special(self, key: tuple, build, want: int) -> list[int]:
-        pool, ptr = self._pool(key, build)
-        taken: list[int] = []
-        while ptr < len(pool) and len(taken) < want:
-            pid = pool[ptr]
-            if not self.occupied[pid]:
-                taken.append(pid)
-                self.occupy(pid)
-            ptr += 1
-        self._special_ptr[key] = ptr
+        ptr = self._special_ptr[key]
+        taken, step = self._take(self._special[key][ptr:], cell, want)
+        self._special_ptr[key] = ptr + step
         return taken
 
-    def take_blue_from_cell(self, cell: int, want: int) -> list[int]:
+    def take_blue_from_cell(self, cell: int, want: int) -> np.ndarray:
         def build():
             ids = self.cell_slice(cell)
-            return [int(p) for p in ids if self.blue[p]]
+            return ids[self.blue[ids]]
 
-        return self._take_special(("blue", cell), build, want)
+        return self._take_special(("blue", cell), build, cell, want)
 
     def take_red_from_ball(
         self, nu: int, j: int, centre: np.ndarray, rho: float, cell: int, want: int
-    ) -> list[int]:
+    ) -> np.ndarray:
         def build():
             ids = self.cell_slice(cell)
-            if not len(ids):
-                return []
             diff = self.coords[ids] - centre
             inside = np.einsum("ij,ij->i", diff, diff) <= rho**2
-            return [int(p) for p in ids[inside & ~self.blue[ids]]]
+            return ids[inside & ~self.blue[ids]]
 
-        return self._take_special(("ball", nu, j), build, want)
+        return self._take_special(("ball", nu, j), build, cell, want)
 
 
 def _part_schedules(tree: Tree, decomp: Decomposition, eta: int):
@@ -270,7 +274,8 @@ def _part_schedules(tree: Tree, decomp: Decomposition, eta: int):
         order = csgraph.breadth_first_order(
             tree_graph(tree), decomp.parts[0][0], return_predecessors=False
         )
-        yield [[] for _ in range(eta + 1)], order.tolist()
+        empty = order[:0]
+        yield [empty] * (eta + 1), order
         return
     graph = anchor_graph(tree, decomp.part_of, decomp.anchors)
     order = csgraph.breadth_first_order(graph, tree.n, return_predecessors=False)[1:]
@@ -279,8 +284,7 @@ def _part_schedules(tree: Tree, decomp: Decomposition, eta: int):
     starts = np.searchsorted(decomp.part_of[order], np.arange(decomp.k + 1))
     for a, b in zip(starts[:-1], starts[1:]):
         cuts = a + np.searchsorted(levels[a:b], np.arange(eta + 2))
-        groups = [order[cuts[j] : cuts[j + 1]].tolist() for j in range(eta + 1)]
-        yield groups, order[cuts[-1] : b].tolist()
+        yield [order[cuts[j] : cuts[j + 1]] for j in range(eta + 1)], order[cuts[-1] : b]
 
 
 #: A walking vertex aims this fraction of r from its parent's point toward
@@ -337,8 +341,7 @@ class _HubTransit:
                     f"the cube centre; {self.available} are there"
                 ),
             )
-        for pid in self.hub:
-            self.pools.occupy(pid)
+        self.pools.occupy_many(self.hub)
         return None
 
     def _free_red_near(self, goal: np.ndarray) -> int:
@@ -359,8 +362,8 @@ class _HubTransit:
             k *= 8
         return -1
 
-    def route(self, t: int, target: int, groups: list, tail: list,
-              mapping: np.ndarray) -> tuple[FailureInfo | None, list[int]]:
+    def route(self, t: int, target: int, groups: list, tail: np.ndarray,
+              mapping: np.ndarray) -> tuple[FailureInfo | None, np.ndarray]:
         """Place one part's anchors and walkers; return a failure or the
         vertices left for Step 2, in schedule order."""
         tess, coords = self.tess, self.pools.coords
@@ -378,7 +381,7 @@ class _HubTransit:
             return float(far @ far) <= self.r2
 
         anchors = groups[0]
-        if anchors:
+        if len(anchors):
             off = self._hub_coords - aim
             dist2 = np.einsum("ij,ij->i", off, off)
             dist2[self._hub_used] = np.inf
@@ -387,8 +390,8 @@ class _HubTransit:
             self._hub_used[near] = True
             mapping[anchors] = self.hub[near]
 
-        adj, levels = self.tree.adj, self.levels
-        rest = [v for g in groups[1:] for v in g] + tail
+        indptr, indices, levels = self.tree.indptr, self.tree.indices, self.levels
+        rest = np.concatenate(groups[1:] + [tail]).tolist()
         left: list[int] = []
         left_set: set[int] = set()
         level, level_left = -1, False
@@ -401,7 +404,8 @@ class _HubTransit:
                     left += rest[i:]
                     break
                 level, level_left = j, True
-            placed = [(u, int(mapping[u])) for u in adj[v] if mapping[u] >= 0]
+            nbrs = indices[indptr[v] : indptr[v + 1]].tolist()
+            placed = [(u, int(mapping[u])) for u in nbrs if mapping[u] >= 0]
             if all(reaches_box(p) for _, p in placed):
                 left.append(v)
                 left_set.add(v)
@@ -433,7 +437,7 @@ class _HubTransit:
                     demanded=math.sqrt(worst), available=self.r,
                     message=f"nearest free red point to vertex {v}'s goal is out of reach",
                 ), []
-            if any(u in left_set for u in adj[v]) and not reaches_box(pid):
+            if any(u in left_set for u in nbrs) and not reaches_box(pid):
                 return FailureInfo(
                     iteration=t, step=1, resource="walk", resource_id=(target, v),
                     demanded=1, available=0,
@@ -442,7 +446,7 @@ class _HubTransit:
             mapping[v] = pid
             self.pools.occupy(pid)
             self.walked += 1
-        return None, left
+        return None, np.array(left, dtype=np.int64)
 
 
 def _failed(mapping: np.ndarray, diagnostics: dict, failure: FailureInfo) -> Embedding:
@@ -529,9 +533,8 @@ def embed_tree(
     blue_overflow: dict[int, int] = {}
     schedules = _part_schedules(tree, decomp, eta)
 
-    def assign(vertices: list[int], pids: list[int]) -> None:
-        for v, p in zip(vertices, pids):
-            mapping[v] = p
+    def assign(vertices: np.ndarray, pids: np.ndarray) -> None:
+        mapping[vertices[: len(pids)]] = pids
 
     for t in range(1, k + 1):
         while cursor < tess.n_cells and pools.unocc[order[cursor]] == 0:
@@ -550,12 +553,12 @@ def embed_tree(
             if failure is not None:
                 return _failed(mapping, diagnostics, failure)
         elif target == central:
-            tail = [v for g in groups for v in g] + tail
+            tail = np.concatenate(groups + [tail])
         else:
             tb = balls.for_target(target)
             for j in range(eta + 1):
                 group = groups[j]
-                if not group:
+                if not len(group):
                     continue
                 got = pools.take_red_from_ball(
                     tb.nu_cell, j, tb.centres[j], tb.radius, int(tb.cells[j]), len(group)
@@ -571,12 +574,12 @@ def embed_tree(
         got = pools.take_any_from_cell(target, len(tail))
         assign(tail, got)
         rest = tail[len(got) :]
-        if rest and target == central:
+        if len(rest) and target == central:
             return _failed(mapping, diagnostics, FailureInfo(
                 iteration=t, step=2, resource="central-cell", resource_id=central,
                 demanded=len(tail), available=len(got), message="central cell exhausted",
             ))
-        if rest:
+        if len(rest):
             nu = int(tess.successor[target])
             extra = pools.take_blue_from_cell(nu, len(rest))
             assign(rest, extra)
@@ -601,22 +604,39 @@ def embed_tree(
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """``violation`` is None when ``ok``, else the first problem found:
+
+    - ``("length", len(map), n)``: the map does not have one entry per vertex;
+    - ``("unassigned", v)``: vertex v maps to a negative id;
+    - ``("point-range", v, p)``: vertex v maps to p >= the graph's point count;
+    - ``("collision", u, v)``: u < v share a point;
+    - ``("edge", u, v, dist)``: tree edge u < v maps to points ``dist`` > r apart.
+    """
+
     ok: bool
-    violation: tuple | None  # ("unassigned", v) | ("collision", u, v) | ("edge", u, v, dist)
+    violation: tuple | None
 
 
 def verify_embedding(tree: Tree, graph: GeometricGraph, embedding: Embedding) -> VerificationResult:
     """Independent validity check: total, injective, and every tree edge
 
     maps to points within distance r (direct computation, no spatial index).
-    The first violation is reported: the first unassigned vertex, else the
-    first two vertices on the lowest shared point, else the first edge
-    (u, v), u < v, in lexicographic order that is longer than r.
+    The first violation is reported, checked in this order: a map whose
+    length is not n; the first unassigned vertex; the first vertex on a point
+    id the graph does not have; the first two vertices on the lowest shared
+    point; the first edge (u, v), u < v, in lexicographic order that is
+    longer than r.
     """
     mapping = embedding.map
+    if len(mapping) != tree.n:
+        return VerificationResult(False, ("length", len(mapping), tree.n))
     unassigned = np.flatnonzero(mapping < 0)
     if len(unassigned):
         return VerificationResult(False, ("unassigned", int(unassigned[0])))
+    outside = np.flatnonzero(mapping >= graph.n)
+    if len(outside):
+        v = int(outside[0])
+        return VerificationResult(False, ("point-range", v, int(mapping[v])))
     values, counts = np.unique(mapping, return_counts=True)
     dup = np.flatnonzero(counts > 1)
     if len(dup):

@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import geometry, rgg, trees, embed as embed_mod
 
@@ -56,6 +55,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 def is_statistically_nondecreasing(successes, trials, alpha: float = 0.05) -> bool:
     """No adjacent pair of the curve shows a significant drop (one-sided
     Fisher exact test at level alpha)."""
+    # imported here: scipy.stats is about half the import time of this
+    # module, and no trial needs it
+    from scipy import stats as sstats
+
     for i in range(len(successes) - 1):
         table = [
             [successes[i], trials[i] - successes[i]],

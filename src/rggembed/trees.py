@@ -5,53 +5,100 @@ the lower-bound experiment), uniform random labelled trees (random Pruefer
 sequence decode), degree-capped random attachment trees (test load for the
 embedding trials), and paths/stars as extremal shapes.
 
-Every walk over a tree runs on its CSR (``tree_graph``, rows in ascending
-neighbour order) through ``scipy.sparse.csgraph``, so a breadth-first
-order visits neighbours in id order; ``hop_distances`` is the one-source
-BFS that heights, widths and diameters are read from.
+A ``Tree`` is stored as its CSR and nothing else: the neighbours of v are
+``indices[indptr[v]:indptr[v + 1]]``, in ascending order, both arrays int32
+and read-only.  Everything derived from it (``degrees``, the directed edge
+arrays of ``adjacency_arrays``, the data of the ``tree_graph`` matrix) is
+computed once per tree and cached on it, so the split, the schedules and
+the validator share one read-only copy.  ``Tree.adj``, the rows as tuples,
+is built only when asked for; no stage of the pipeline reads it.
+
+Every walk over a tree runs on ``tree_graph`` through
+``scipy.sparse.csgraph``, so a breadth-first order visits neighbours in id
+order; ``hop_distances`` is the one-source BFS that heights, widths and
+diameters are read from.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
 
-@dataclass(frozen=True)
+def _frozen(a, dtype) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """Unrooted tree on vertices 0..n-1 as sorted adjacency lists."""
+    """Unrooted tree on vertices 0..n-1 as a CSR with ascending rows.
+
+    ``eq=False``: two trees compare by identity, never by their arrays.
+    """
 
     n: int
-    adj: tuple  # tuple of tuples of neighbor ids
+    indptr: np.ndarray   # (n + 1,) int32, read-only
+    indices: np.ndarray  # (2(n - 1),) int32, read-only
+
+    def __post_init__(self):
+        object.__setattr__(self, "indptr", _frozen(self.indptr, np.int32))
+        object.__setattr__(self, "indices", _frozen(self.indices, np.int32))
+        if self.indptr.shape != (self.n + 1,) or self.indptr[-1] != len(self.indices):
+            raise ValueError("indptr does not fit n and indices")
+
+    @cached_property
+    def adj(self) -> tuple:
+        """The rows as a tuple of tuples (built on first use)."""
+        heads, ptr = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(heads[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        return _frozen(np.diff(self.indptr), np.int64)
+
+    @cached_property
+    def _tails(self) -> np.ndarray:
+        return _frozen(np.repeat(np.arange(self.n, dtype=np.int32), self._degrees), np.int32)
+
+    @cached_property
+    def _ones(self) -> np.ndarray:
+        return _frozen(np.ones(len(self.indices)), np.int8)
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adj], dtype=np.int64)
+        return self._degrees
 
     def max_degree(self) -> int:
-        return int(self.degrees().max()) if self.n > 1 else 0
+        return int(self._degrees.max()) if self.n > 1 else 0
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        forward = self._tails < self.indices
+        return list(zip(self._tails[forward].tolist(), self.indices[forward].tolist()))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Tree":
-        adj = [[] for _ in range(n)]
-        count = 0
-        for u, v in edges:
+        try:
+            e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError(f"an edge has an endpoint outside 0..{n - 1}") from None
+        bad = ((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1])
+        if bad.any():
+            u, v = e[int(np.argmax(bad))].tolist()
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            adj[u].append(v)
-            adj[v].append(u)
-            count += 1
-        if count != n - 1:
-            raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {count}")
-        tree = cls(n=n, adj=tuple(tuple(sorted(a)) for a in adj))
+            raise ValueError(f"self-loop at {u}")
+        if len(e) != n - 1:
+            raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(e)}")
+        tails = np.concatenate((e[:, 0], e[:, 1]))
+        heads = np.concatenate((e[:, 1], e[:, 0]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+        tree = cls(n=n, indptr=indptr, indices=heads[np.lexsort((heads, tails))])
         if n > 1 and not tree._is_connected():
             raise ValueError("edge list is not connected")
         return tree
@@ -61,25 +108,17 @@ class Tree:
 
 
 def adjacency_arrays(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
-    """Every adjacency entry as a directed edge (tails[i], heads[i]), int32,
-    in vertex order and, per vertex, in sorted neighbour order; each tree
-    edge appears once in each direction."""
-    degrees = np.fromiter(map(len, tree.adj), dtype=np.int32, count=tree.n)
-    heads = np.fromiter(
-        itertools.chain.from_iterable(tree.adj), dtype=np.int32, count=int(degrees.sum())
-    )
-    return np.repeat(np.arange(tree.n, dtype=np.int32), degrees), heads
+    """Every adjacency entry as a directed edge (tails[i], heads[i]), int32
+    and read-only, in vertex order and, per vertex, in ascending neighbour
+    order; each tree edge appears once in each direction."""
+    return tree._tails, tree.indices
 
 
 def tree_graph(tree: Tree) -> sparse.csr_matrix:
     """The tree as an n x n CSR matrix, each edge in both directions and
-    every row in ascending neighbour order."""
-    tails, heads = adjacency_arrays(tree)
-    indptr = np.zeros(tree.n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(tails, minlength=tree.n))
-    return sparse.csr_matrix(
-        (np.ones(len(heads), dtype=np.int8), heads, indptr), shape=(tree.n, tree.n)
-    )
+    every row in ascending neighbour order; a new matrix object on each
+    call, over the tree's own read-only arrays."""
+    return sparse.csr_matrix((tree._ones, tree.indices, tree.indptr), shape=(tree.n, tree.n))
 
 
 def hop_distances(tree: Tree, source: int) -> np.ndarray:
@@ -203,11 +242,10 @@ def random_bounded_degree_tree(n: int, delta: int, seed) -> Tree:
 def path_tree(n: int) -> Tree:
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return Tree(n=1, adj=((),))
-    # the adjacency directly: an edge list of n tuples would double the peak
-    inner = tuple((i - 1, i + 1) for i in range(1, n - 1))
-    return Tree(n=n, adj=((1,),) + inner + ((n - 2,),))
+    # row v is (v - 1, v + 1) without the -1 of row 0 and the n of row n-1
+    indices = np.stack((np.arange(-1, n - 1), np.arange(1, n + 1)), axis=1).ravel()[1:-1]
+    indptr = np.minimum(np.maximum(2 * np.arange(n + 1) - 1, 0), 2 * n - 2)
+    return Tree(n=n, indptr=indptr, indices=indices)
 
 
 def star_tree(n: int) -> Tree:

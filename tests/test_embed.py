@@ -183,6 +183,7 @@ def test_part_schedules_match_per_part_bfs():
         eta = int(rng.integers(0, 5))
         anchors = set(dec.anchors)
         for idx, (groups, tail) in enumerate(E._part_schedules(tree, dec, eta)):
+            groups, tail = [g.tolist() for g in groups], tail.tolist()
             part = dec.parts[idx]
             sources = sorted(v for v in part if v in anchors) or [part[0]]
             order, seen, queue = [], set(sources), deque(sources)
@@ -198,6 +199,85 @@ def test_part_schedules_match_per_part_bfs():
                 continue
             assert groups == [[v for v in order if dec.levels[v] == j] for j in range(eta + 1)]
             assert tail == [v for v in order if dec.levels[v] > eta]
+
+
+class ScalarPools:
+    """Reference for ``_PointPools``' pointer rule as plain loops: a pool is
+    an ascending id list; a take walks it from the pointer, skips occupied
+    ids and stops once it has ``want`` of them (or at the end)."""
+
+    def __init__(self, pools):
+        self.cell_id, self.blue, self.coords = pools.cell_id, pools.blue, pools.coords
+        self.occupied, self.unocc = pools.occupied.copy(), pools.unocc.copy()
+        self.lists, self.ptr = {}, {}
+
+    def occupy(self, p):
+        self.occupied[p] = True
+        self.unocc[self.cell_id[p]] -= 1
+
+    def take(self, key, keep, want):
+        if key not in self.lists:
+            self.lists[key] = [p for p in range(len(self.cell_id)) if keep(p)]
+            self.ptr[key] = 0
+        pool, ptr, taken = self.lists[key], self.ptr[key], []
+        while ptr < len(pool) and len(taken) < want:
+            if not self.occupied[pool[ptr]]:
+                taken.append(pool[ptr])
+                self.occupy(pool[ptr])
+            ptr += 1
+        self.ptr[key] = ptr
+        return taken
+
+
+@given(seed=st.integers(0, 10**6), d=st.integers(1, 2), s=st.sampled_from([3, 5]))
+@settings(max_examples=60, deadline=None)
+def test_bulk_pool_takes_match_scalar_reference(seed, d, s):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 300))
+    tess = G.build_tessellation(d, s)
+    points = rgg.sample_points(n, d, seed)
+    pools = E._PointPools(points, rgg.color_points(points, 0.5, seed + 1), tess)
+    for p in rng.choice(n, int(rng.integers(0, n)), replace=False).tolist():
+        pools.occupy(p)
+    ref = ScalarPools(pools)
+    balls = [(nu, int(rng.integers(tess.n_cells)), tess.centres[int(rng.integers(tess.n_cells))],
+              float(rng.uniform(0.1, 1.0)) / s) for nu in range(3)]
+    for _ in range(40):
+        kind, want = int(rng.integers(4)), int(rng.integers(0, 12))
+        cell = int(rng.integers(tess.n_cells))
+        if kind == 0:
+            key = ("blue", cell)
+            got = pools.take_blue_from_cell(cell, want)
+            expect = ref.take(key, lambda p: ref.cell_id[p] == cell and ref.blue[p], want)
+            ptr = pools._special_ptr[key]
+        elif kind == 1:
+            nu, cell, centre, rho = balls[int(rng.integers(len(balls)))]
+            key = ("ball", nu, 0)
+            got = pools.take_red_from_ball(nu, 0, centre, rho, cell, want)
+
+            def inside(p):
+                return (ref.cell_id[p] == cell and not ref.blue[p]
+                        and sum((ref.coords[p] - centre) ** 2) <= rho**2)
+
+            expect = ref.take(key, inside, want)
+            ptr = pools._special_ptr[key]
+        elif kind == 2:
+            key = ("any", cell)
+            got = pools.take_any_from_cell(cell, want)
+            expect = ref.take(key, lambda p: ref.cell_id[p] == cell, want)
+            ptr = pools._any_ptr[cell] - pools.cell_starts[cell]
+        else:
+            # a walker occupies a point behind every pool's back
+            free = np.flatnonzero(~pools.occupied)
+            if len(free):
+                p = int(rng.choice(free))
+                pools.occupy(p)
+                ref.occupy(p)
+            continue
+        assert got.dtype == np.int64 and got.tolist() == expect
+        assert ptr == ref.ptr[key]
+        assert np.array_equal(pools.occupied, ref.occupied)
+        assert np.array_equal(pools.unocc, ref.unocc)
 
 
 class TestVerifyEmbedding:
@@ -256,6 +336,21 @@ class TestVerifyEmbedding:
                 mapping[a] = mapping[b]
             emb = E.Embedding(map=mapping, status="success")
             assert E.verify_embedding(tree, graph, emb).violation == reference(tree, graph, mapping)
+
+    def test_malformed_maps_are_violations(self):
+        points = rgg.PointSet(d=1, coords=np.array([[0.1], [0.2], [0.3], [0.4]]))
+        graph = rgg.build_graph(points, 0.5)
+        tree = trees.path_tree(4)
+        cases = {
+            (0, 1, 2, 7): ("point-range", 3, 7),
+            (0, 4, 2, 3): ("point-range", 1, 4),
+            (0, 1, 2): ("length", 3, 4),
+            (0, 1, 2, 3, 4): ("length", 5, 4),
+        }
+        for mapping, violation in cases.items():
+            emb = E.Embedding(map=np.array(mapping), status="success")
+            check = E.verify_embedding(tree, graph, emb)
+            assert not check.ok and check.violation == violation
 
     def test_collision_and_unassigned(self):
         points = rgg.PointSet(d=1, coords=np.array([[0.1], [0.2], [0.3]]))

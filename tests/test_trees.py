@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sstats
 
 from rggembed import trees
@@ -195,3 +195,98 @@ class TestWalks:
         t = trees.path_tree(1)
         assert trees.tree_stats(t) == trees.TreeStats(0, 0)
         assert trees.height_from(t, 0) == 0 and trees.width_from(t, 0) == 1
+
+
+def family_tree(family, n, seed):
+    """A tree of the family plus the edge list it was built from: every
+    generator but ``path_tree`` goes through ``Tree.from_edges``, whose input
+    is recorded on the way."""
+    if family == "path":
+        return trees.path_tree(n), [(i, i + 1) for i in range(n - 1)]
+    recorded = []
+    original = trees.Tree.__dict__["from_edges"]
+
+    def recording(cls, n, edges):
+        edges = list(edges)
+        recorded.append(edges)
+        return original.__func__(cls, n, edges)
+
+    trees.Tree.from_edges = classmethod(recording)
+    try:
+        tree = {
+            "truncated_regular": lambda: trees.truncated_regular_tree(n, 3 + seed % 4),
+            "uniform": lambda: trees.uniform_random_tree(n, seed),
+            "bounded_random": lambda: trees.random_bounded_degree_tree(n, 2 + seed % 5, seed),
+            "star": lambda: trees.star_tree(n),
+        }[family]()
+    finally:
+        trees.Tree.from_edges = original
+    return tree, recorded[-1]
+
+
+class TestCsrStorage:
+    @given(
+        family=st.sampled_from(["path", "truncated_regular", "uniform", "bounded_random", "star"]),
+        n=st.integers(1, 80),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(family="path", n=1, seed=0)
+    @example(family="path", n=2, seed=0)
+    @example(family="uniform", n=2, seed=0)
+    @example(family="star", n=2, seed=0)
+    def test_matches_list_oracle(self, family, n, seed):
+        if family != "path":
+            n = max(n, 2)
+        tree, edges = family_tree(family, n, seed)
+        # the oracle: sorted adjacency lists built one edge at a time
+        oracle = [[] for _ in range(n)]
+        for u, v in edges:
+            oracle[u].append(v)
+            oracle[v].append(u)
+        oracle = [sorted(a) for a in oracle]
+
+        assert tree.n == n
+        assert tree.adj == tuple(tuple(a) for a in oracle)
+        assert tree.degrees().tolist() == [len(a) for a in oracle]
+        assert tree.max_degree() == (max(map(len, oracle)) if n > 1 else 0)
+        assert tree.edges() == [(u, v) for u in range(n) for v in oracle[u] if u < v]
+        tails, heads = trees.adjacency_arrays(tree)
+        assert tails.dtype == heads.dtype == np.int32
+        assert tails.tolist() == [u for u in range(n) for _ in oracle[u]]
+        assert heads.tolist() == [v for a in oracle for v in a]
+        g = trees.tree_graph(tree)
+        assert g.shape == (n, n) and g.nnz == 2 * (n - 1)
+        for v in range(n):
+            assert g.indices[g.indptr[v] : g.indptr[v + 1]].tolist() == oracle[v]
+
+    def test_arrays_are_read_only(self):
+        t = trees.random_bounded_degree_tree(30, 3, 1)
+        tails, heads = trees.adjacency_arrays(t)
+        g = trees.tree_graph(t)
+        for a in (t.indices, t.indptr, tails, heads, t.degrees(), g.indices, g.indptr, g.data):
+            with pytest.raises(ValueError):
+                a[0] = 5
+        assert t.indices.tolist() == list(itertools.chain.from_iterable(t.adj))
+
+    def test_caller_arrays_are_copied(self):
+        indptr, indices = np.array([0, 1, 2], np.int32), np.array([1, 0], np.int32)
+        t = trees.Tree(n=2, indptr=indptr, indices=indices)
+        indices[:] = 0
+        assert t.adj == ((1,), (0,)) and indices.flags.writeable
+
+    def test_identity_semantics(self):
+        # no dataclass __eq__ or __hash__ may compare the arrays
+        a, b = trees.path_tree(3), trees.path_tree(3)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+    def test_from_edges_rejects_endpoint_beyond_int64(self):
+        with pytest.raises(ValueError, match="outside"):
+            trees.Tree.from_edges(2, [(0, 2**70)])
+
+    def test_rejects_mismatched_indptr(self):
+        with pytest.raises(ValueError, match="indptr"):
+            trees.Tree(n=3, indptr=[0, 1, 2], indices=[1, 0])
+        with pytest.raises(ValueError, match="indptr"):
+            trees.Tree(n=2, indptr=[0, 1, 3], indices=[1, 0])
