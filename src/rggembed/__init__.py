@@ -6,8 +6,8 @@ The package has one module per stage of the pipeline:
 - :mod:`rggembed.rgg`       -- point sampling, cell-list graph, colouring
 - :mod:`rggembed.trees`     -- tree type and generators
 - :mod:`rggembed.decompose` -- centroid splitting into comparable subtrees
-- :mod:`rggembed.embed`     -- the two-step embedding algorithm + validator
-- :mod:`rggembed.harness`   -- seeded experiments (sweeps, diameters, ...)
+- :mod:`rggembed.embed`     -- the two-step embedding, 1-d greedy, validator
+- :mod:`rggembed.harness`   -- seeded experiments and their per-trial records
 - :mod:`rggembed.cli`       -- command-line front end for the harness
 """
 
@@ -49,9 +49,7 @@ from .decompose import (
 )
 from .embed import (
     Embedding,
-    EventAReport,
     FailureInfo,
-    check_event_a,
     embed_tree,
     verify_embedding,
     greedy_line_embed,

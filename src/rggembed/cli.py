@@ -44,8 +44,6 @@ def _add_trial_like(p: argparse.ArgumentParser) -> None:
                    help="epsilon override (simulation mode)")
     p.add_argument("--m", type=float, default=None,
                    help="part-weight override (simulation mode)")
-    p.add_argument("--no-event-a", action="store_true",
-                   help="skip the advisory event-A report")
 
 
 def _config_from_args(args, trials: int) -> harness.ExperimentConfig:
@@ -62,7 +60,6 @@ def _config_from_args(args, trials: int) -> harness.ExperimentConfig:
         epsilon_override=args.epsilon,
         m_override=args.m,
         fix_tree=getattr(args, "fix_tree", False),
-        compute_event_a=not args.no_event_a,
     )
 
 

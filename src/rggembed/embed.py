@@ -24,7 +24,10 @@ balls, whose size ignores r: all anchors meet in a hub of red points within
 r/2 of the cube centre, and the vertices between an anchor and its part's
 cells walk out on red points (see ``_HubTransit``).  That path carries no
 proof; each of its rules is checked on the actual points and reported as a
-structured failure when it does not hold.
+structured failure when it does not hold.  Its ``diagnostics`` carry the
+hub's supply and demand (``hub_available``, ``hub_demanded``) and, on a
+success, the number of walked vertices (``walked``); every success also
+reports ``max_blue_overflow``, the most blue points one successor cell lent.
 """
 
 from __future__ import annotations
@@ -43,120 +46,13 @@ from .decompose import Decomposition, anchor_graph, split_tree
 
 
 @dataclass(frozen=True)
-class EventAReport:
-    """Point-supply audit for one (graph, colours, tessellation) instance.
-
-    A1 asks every transit ball for at least d^(-d/2) (eps/(2^d 10 s))^d n/4
-    red points; A2 asks every cell for at least (3/8) s^(-d) n blue points.
-    The report is advisory: the embedding algorithm never consults it.
-    """
-
-    a1_ok: bool
-    a2_ok: bool
-    a1_threshold: float
-    a2_threshold: float
-    min_ball_red: int
-    min_cell_blue: int
-    witness_ball: tuple | None  # (target cell id, j) of first failing ball
-    witness_cell: int | None    # first failing cell id
-
-
-def check_event_a(
-    graph: GeometricGraph,
-    colors: ColorAssignment,
-    tess: Tessellation,
-    balls: BallSystem,
-    epsilon_eff: float | None = None,
-) -> EventAReport:
-    """Exact red/blue counts against the two thresholds; inputs untouched."""
-    if colors.p_blue != 0.5:
-        raise ValueError("event-A thresholds assume colouring probability 1/2")
-    eps = balls.epsilon_eff if epsilon_eff is None else epsilon_eff
-    if epsilon_eff is not None and abs(eps - balls.epsilon_eff) > 1e-12:
-        raise ValueError("epsilon_eff disagrees with the ball system")
-
-    n, d, s = graph.n, tess.d, tess.s
-    a1_thr = d ** (-d / 2) * (eps / (2**d * 10 * s)) ** d * n / 4.0
-    a2_thr = (3.0 / 8.0) * s ** (-d) * n
-
-    coords = graph.points.coords
-    cell_of = tess.cell_of_points(coords) if n else np.empty(0, dtype=np.int64)
-    by_cell = np.argsort(cell_of, kind="stable") if n else np.empty(0, dtype=np.int64)
-    starts = np.searchsorted(cell_of[by_cell] if n else cell_of, np.arange(tess.n_cells + 1))
-
-    blue_per_cell = (
-        np.bincount(cell_of[colors.blue], minlength=tess.n_cells)
-        if n
-        else np.zeros(tess.n_cells, dtype=np.int64)
-    )
-
-    if n == 0:
-        # degenerate by convention: an empty graph supplies nothing
-        first_target = int(np.flatnonzero(np.arange(tess.n_cells) != tess.central_cell)[0])
-        return EventAReport(
-            a1_ok=False,
-            a2_ok=False,
-            a1_threshold=a1_thr,
-            a2_threshold=a2_thr,
-            min_ball_red=0,
-            min_cell_blue=0,
-            witness_ball=(first_target, 0),
-            witness_cell=0,
-        )
-
-    red = colors.red
-    ball_red_cache: dict[tuple[int, int], int] = {}
-
-    def ball_red_count(nu: int, j: int, centre: np.ndarray, rho: float, cell: int) -> int:
-        key = (nu, j)
-        if key not in ball_red_cache:
-            ids = by_cell[starts[cell] : starts[cell + 1]]
-            if len(ids):
-                diff = coords[ids] - centre
-                inside = np.einsum("ij,ij->i", diff, diff) <= rho**2
-                count = int(np.count_nonzero(inside & red[ids]))
-            else:
-                count = 0
-            ball_red_cache[key] = count
-        return ball_red_cache[key]
-
-    a1_ok, witness_ball = True, None
-    min_ball_red = n
-    for cell in range(tess.n_cells):
-        if cell == tess.central_cell:
-            continue
-        tb = balls.for_target(cell)
-        for j in range(tb.eta + 1):
-            count = ball_red_count(tb.nu_cell, j, tb.centres[j], tb.radius, int(tb.cells[j]))
-            min_ball_red = min(min_ball_red, count)
-            if count < a1_thr and a1_ok:
-                a1_ok, witness_ball = False, (cell, j)
-
-    a2_ok, witness_cell = True, None
-    min_cell_blue = int(blue_per_cell.min())
-    failing = np.flatnonzero(blue_per_cell < a2_thr)
-    if len(failing):
-        a2_ok, witness_cell = False, int(failing[0])
-
-    return EventAReport(
-        a1_ok=a1_ok,
-        a2_ok=a2_ok,
-        a1_threshold=a1_thr,
-        a2_threshold=a2_thr,
-        min_ball_red=int(min_ball_red),
-        min_cell_blue=min_cell_blue,
-        witness_ball=witness_ball,
-        witness_cell=witness_cell,
-    )
-
-
-@dataclass(frozen=True)
 class FailureInfo:
     """Where the algorithm ran out of points (or of geometric headroom)."""
 
     iteration: int        # part index t, 1-based; 0 for pre-loop failures
-    step: int             # 0 geometry precheck, 1 ball transit, 2 cell fill
-    resource: str         # "geometry" | "ball" | "cell+successor" | "central-cell"
+    step: int             # 0 geometry precheck, 1 transit, 2 cell fill
+    resource: str         # "geometry" | "ball" | "hub" | "walk" | "cell+successor"
+                          # | "central-cell" | "line-window"
     resource_id: tuple | int | None
     demanded: float
     available: float

@@ -156,10 +156,6 @@ class Tessellation:
     successor: np.ndarray        # (s^d,) cell id of nu(q); -1 for central
 
     @property
-    def cell_side(self) -> float:
-        return 1.0 / self.s
-
-    @property
     def n_cells(self) -> int:
         return self.s**self.d
 

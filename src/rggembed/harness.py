@@ -18,8 +18,10 @@ sizes the cells from the trial's radius (r_c in the s window gives way to
 max(r_c, r/(1+eps))), and Step 1 gathers all anchors in a hub of red points
 within r/2 of the cube centre, from which the vertices between an anchor
 and its part's cells walk out on red points (``embed._HubTransit``).
-Without a proof behind it, every sim-mode success is certified by
-``verify_embedding``.
+A trial's record keeps the numbers that decide it: the hub's demand and
+supply, and where a failure happened (step, part, resource and its id).
+``verify_embedding`` is the only judge of a success in either mode: a
+success it rejects raises ``RuntimeError`` instead of entering a curve.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ class ExperimentConfig:
     epsilon_override: float | None = None
     m_override: float | None = None
     fix_tree: bool = False
-    compute_event_a: bool = True
     store_embeddings: bool = True
 
     def __post_init__(self):
@@ -117,8 +118,15 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
-    """One universality trial.  ``status`` is success / failure / infeasible;
-    timings are informational and excluded from the replay contract."""
+    """One universality trial.  ``status`` is success / failure / infeasible.
+
+    ``hub_demanded``, ``hub_available``, ``walked`` and ``max_blue_overflow``
+    copy ``embed_tree``'s diagnostics (``None`` where absent: the hub exists
+    only in sim mode, the last two only on a success); the ``failure_*``
+    fields copy its ``FailureInfo``.  ``runtime_s`` and the stage times
+    ``t_geometry``, ``t_sample`` (points, colours, graph index), ``t_tree``,
+    ``t_embed`` (split and placement) and ``t_verify`` are wall seconds, 0.0
+    for a stage not reached, and outside the replay contract."""
 
     status: str
     n: int
@@ -134,21 +142,31 @@ class TrialRecord:
     m: float | None = None
     k: int | None = None
     tree_max_degree: int | None = None
+    hub_demanded: int | None = None
+    hub_available: int | None = None
+    walked: int | None = None
+    max_blue_overflow: int | None = None
     failure_step: int | None = None
+    failure_iteration: int | None = None
     failure_resource: str | None = None
+    failure_resource_id: tuple | int | None = None
     failure_demanded: float | None = None
     failure_available: float | None = None
     infeasible_reason: str | None = None
-    event_a1_ok: bool | None = None
-    event_a2_ok: bool | None = None
     validator_ok: bool | None = None
     runtime_s: float = 0.0
+    t_geometry: float = 0.0
+    t_sample: float = 0.0
+    t_tree: float = 0.0
+    t_embed: float = 0.0
+    t_verify: float = 0.0
     embedding: np.ndarray | None = None
 
     def replay_key(self) -> tuple:
         """The deterministic part of the record (everything but timings and
         the embedding array itself)."""
-        skip = {"runtime_s", "embedding"}
+        skip = {"runtime_s", "t_geometry", "t_sample", "t_tree", "t_embed",
+                "t_verify", "embedding"}
         return tuple(v for k, v in sorted(asdict(self).items()) if k not in skip)
 
     def to_row(self) -> dict:
@@ -254,7 +272,8 @@ def run_universality_trial(
     fixed_tree: trees.Tree | None = None,
 ) -> TrialRecord:
     """Sample points and colours, generate one tree, run the embedding, and
-    validate any success.  Infeasible constructions are recorded, not raised.
+    validate any success.  Infeasible constructions are recorded, not raised;
+    a success the validator rejects raises ``RuntimeError``.
     """
     t0 = time.perf_counter()
     n, d, delta = config.n, config.d, config.delta
@@ -267,25 +286,22 @@ def run_universality_trial(
     )
 
     if n <= 2:
-        # no tessellation at this size; embed identically and validate
+        # no tessellation at this size: every tree is a path, embedded by
+        # the identity map, which succeeds when the two points are adjacent
         points = rgg.sample_points(n, d, seed_points)
         graph = rgg.build_graph(points, r)
-        mapping = np.arange(n, dtype=np.int64)
-        ok = True
-        if n == 2:
-            ok = graph.has_edge(0, 1)
-        status = "success" if ok else "failure"
-        emb = mapping if ok else None
-        return TrialRecord(
-            status=status, validator_ok=ok if ok else None,
-            embedding=emb if config.store_embeddings else None,
-            runtime_s=time.perf_counter() - t0, **base,
-        )
+        record = TrialRecord(status="failure", t_sample=time.perf_counter() - t0, **base)
+        if n == 1 or graph.has_edge(0, 1):
+            result = embed_mod.Embedding(map=np.arange(n, dtype=np.int64), status="success")
+            _certify(record, config, trees.path_tree(n), graph, result)
+        record.runtime_s = time.perf_counter() - t0
+        return record
 
     if shared is None:
         shared = _prepare_geometry(config)
     if config.mode == "sim":
         shared = _trial_geometry(config, shared, r)
+    t1 = time.perf_counter()
     if shared.infeasible_reason is not None:
         return TrialRecord(
             status="infeasible",
@@ -293,6 +309,7 @@ def run_universality_trial(
             s=shared.tess.s if shared.tess else None,
             epsilon_eff=shared.epsilon_eff,
             runtime_s=time.perf_counter() - t0,
+            t_geometry=t1 - t0,
             **base,
         )
     tess, balls, m = shared.tess, shared.balls, shared.m
@@ -300,7 +317,9 @@ def run_universality_trial(
     points = rgg.sample_points(n, d, seed_points)
     colors = rgg.color_points(points, 0.5, seed_colors)
     graph = rgg.build_graph(points, r)
+    t2 = time.perf_counter()
     tree = fixed_tree if fixed_tree is not None else _make_tree(config, seed_tree)
+    t3 = time.perf_counter()
 
     record = TrialRecord(
         status="",
@@ -309,13 +328,11 @@ def run_universality_trial(
         epsilon_eff=shared.epsilon_eff,
         m=m,
         tree_max_degree=tree.max_degree(),
+        t_geometry=t1 - t0,
+        t_sample=t2 - t1,
+        t_tree=t3 - t2,
         **base,
     )
-
-    if config.compute_event_a:
-        report = embed_mod.check_event_a(graph, colors, tess, balls)
-        record.event_a1_ok = report.a1_ok
-        record.event_a2_ok = report.a2_ok
 
     if tree.max_degree() > delta:
         record.status = "infeasible"
@@ -328,21 +345,42 @@ def run_universality_trial(
     # sim mode routes Step 1 through the hub instead of the transit balls
     transit = balls if config.mode == "paper" else None
     result = embed_mod.embed_tree(tree, graph, colors, tess, transit, m, delta)
-    record.k = result.diagnostics.get("k")
+    record.t_embed = time.perf_counter() - t3
+    diag = result.diagnostics
+    record.k = diag.get("k")
+    record.hub_demanded = diag.get("hub_demanded")
+    record.hub_available = diag.get("hub_available")
+    record.walked = diag.get("walked")
+    record.max_blue_overflow = diag.get("max_blue_overflow")
     if result.ok:
-        check = embed_mod.verify_embedding(tree, graph, result)
-        record.status = "success"
-        record.validator_ok = check.ok
-        if config.store_embeddings:
-            record.embedding = result.map
+        _certify(record, config, tree, graph, result)
     else:
+        failure = result.failure
         record.status = "failure"
-        record.failure_step = result.failure.step
-        record.failure_resource = result.failure.resource
-        record.failure_demanded = result.failure.demanded
-        record.failure_available = result.failure.available
+        record.failure_step = failure.step
+        record.failure_iteration = failure.iteration
+        record.failure_resource = failure.resource
+        record.failure_resource_id = failure.resource_id
+        record.failure_demanded = failure.demanded
+        record.failure_available = failure.available
     record.runtime_s = time.perf_counter() - t0
     return record
+
+
+def _certify(record: TrialRecord, config: ExperimentConfig, tree: trees.Tree,
+             graph: rgg.GeometricGraph, result: embed_mod.Embedding) -> None:
+    """Record a success once ``verify_embedding`` accepts it; raise if not."""
+    t0 = time.perf_counter()
+    check = embed_mod.verify_embedding(tree, graph, result)
+    record.t_verify = time.perf_counter() - t0
+    if not check.ok:
+        raise RuntimeError(
+            f"embedding success failed independent validation: {check.violation}"
+        )
+    record.status = "success"
+    record.validator_ok = True
+    if config.store_embeddings:
+        record.embedding = result.map
 
 
 @dataclass

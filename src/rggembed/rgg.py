@@ -60,10 +60,6 @@ class ColorAssignment:
     seed: object = None
 
     @property
-    def red(self) -> np.ndarray:
-        return ~self.blue
-
-    @property
     def n_blue(self) -> int:
         return int(self.blue.sum())
 

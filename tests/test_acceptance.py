@@ -253,7 +253,6 @@ def test_criterion_7_threshold_curve():
         epsilon_override=4.9,   # largest feasible ball scale
         m_override=85.0,        # parts fit cells; larger m fails step 2 instead
         store_embeddings=False,
-        compute_event_a=False,
     )
     curve = H.run_threshold_sweep(cfg)
     freqs = curve.frequencies()

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from rggembed.cli import main
 
 
@@ -15,6 +17,10 @@ def test_trial_json_output(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data[0]["status"] in ("success", "failure", "infeasible")
     assert data[0]["n"] == 1500
+    # sim-mode rows carry the hub's numbers and the stage times
+    assert data[0]["hub_demanded"] == 2 * (data[0]["k"] - 1)
+    assert {"hub_available", "failure_iteration", "t_embed", "t_verify"} <= set(data[0])
+    assert not any(key.startswith("event_a") for key in data[0])
 
 
 def test_sweep_csv_output(tmp_path):
@@ -95,6 +101,15 @@ def test_invalid_config_exits_nonzero(capsys):
     # concentration precondition violation
     code = main(["concentration", "--n", "10", "--a", "0.0001", "--trials", "2"])
     assert code == 2
+
+
+def test_event_a_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "trial", "--n", "100", "--d", "1", "--r", "0.5", "--no-event-a",
+        ])
+    assert exc.value.code == 2
+    assert "--no-event-a" in capsys.readouterr().err
 
 
 def test_stdout_emission(capsys):

@@ -32,47 +32,6 @@ def planted_instance(all_centre_blue=False):
     return tree, graph, colors, tess, balls
 
 
-class TestEventA:
-    def test_zero_points_fails_both(self):
-        tess = G.build_tessellation(1, 3)
-        balls = G.BallSystem(tess, 0.5)
-        points = rgg.PointSet(d=1, coords=np.empty((0, 1)))
-        colors = make_colors([])
-        graph = rgg.build_graph(points, 0.5)
-        report = E.check_event_a(graph, colors, tess, balls)
-        assert not report.a1_ok and not report.a2_ok
-        assert report.witness_ball == (0, 0) and report.witness_cell == 0
-
-    def test_all_blue_fails_a1(self):
-        tess = G.build_tessellation(1, 3)
-        balls = G.BallSystem(tess, 0.5)
-        points = rgg.sample_points(200, 1, 3)
-        colors = make_colors([True] * 200)
-        graph = rgg.build_graph(points, 0.5)
-        report = E.check_event_a(graph, colors, tess, balls)
-        assert not report.a1_ok
-        assert report.min_ball_red == 0
-
-    def test_planted_instance_passes_both(self):
-        tess = G.build_tessellation(1, 3)
-        balls = G.BallSystem(tess, 0.5)
-        coords = [0.05, 0.1, 0.15] + [0.45, 0.48, 0.52] + [0.5 - 1e-4, 0.5, 0.5 + 1e-4, 0.5 + 2e-4] + [0.85, 0.9, 0.95]
-        blue = [True] * 6 + [False] * 4 + [True] * 3
-        points = rgg.PointSet(d=1, coords=np.array([[x] for x in coords]))
-        graph = rgg.build_graph(points, 0.7)
-        report = E.check_event_a(graph, make_colors(blue), tess, balls)
-        assert report.a1_ok and report.a2_ok
-
-    def test_requires_half_blue_probability(self):
-        tess = G.build_tessellation(1, 3)
-        balls = G.BallSystem(tess, 0.5)
-        points = rgg.sample_points(10, 1, 0)
-        colors = rgg.color_points(points, 0.3, 1)
-        graph = rgg.build_graph(points, 0.5)
-        with pytest.raises(ValueError):
-            E.check_event_a(graph, colors, tess, balls)
-
-
 class TestEmbedTree:
     def test_single_vertex(self):
         tess = G.build_tessellation(1, 3)

@@ -53,6 +53,35 @@ class TestUniversalityTrial:
         tiny = H.run_universality_trial(cfg, 1e-6, seed=1)
         assert tiny.status in ("success", "failure")
 
+    @pytest.mark.parametrize("n,r,seed,kw", [
+        # n <= 2: the identity map, adjacent at r = 1 on the line
+        (2, 1.0, 1, {}),
+        # a d=1 configuration that succeeds (see test_successful_trial_validates)
+        (30000, None, 11, dict(tree_family="path", epsilon_override=4.9, m_override=700.0)),
+    ], ids=["n2", "d1_success"])
+    def test_rejected_success_raises(self, monkeypatch, n, r, seed, kw):
+        # the validator is the only judge: a success it rejects must stop
+        # the trial, also under python -O, instead of entering a curve
+        reject = E.VerificationResult(False, ("edge", 0, 1, 2.0))
+        monkeypatch.setattr(H.embed_mod, "verify_embedding", lambda *a: reject)
+        radius = dict(r_values=(r,)) if r else dict(r_multipliers=(6.0,))
+        cfg = H.ExperimentConfig(n=n, d=1, delta=3, trials=1, **radius, **kw)
+        (r, mult), = cfg.radii()
+        with pytest.raises(RuntimeError, match="independent validation"):
+            H.run_universality_trial(cfg, r, seed=seed, r_multiplier=mult)
+
+    def test_replay_key_ignores_stage_times(self):
+        cfg = H.ExperimentConfig(
+            n=2000, d=1, delta=3, tree_family="path", r_multipliers=(4.0,),
+            trials=1, epsilon_override=4.5, m_override=200.0,
+        )
+        (r, mult), = cfg.radii()
+        rec = H.run_universality_trial(cfg, r, seed=17, r_multiplier=mult)
+        key = rec.replay_key()
+        for name in ("runtime_s", "t_geometry", "t_sample", "t_tree", "t_embed", "t_verify"):
+            setattr(rec, name, getattr(rec, name) + 123.0)
+        assert rec.replay_key() == key
+
     def test_replay_identical(self):
         cfg = H.ExperimentConfig(
             n=2000, d=1, delta=3, tree_family="path", r_multipliers=(4.0,),
@@ -137,6 +166,11 @@ class TestSimHubTransit:
         near = np.sum((coords - 0.5) ** 2, axis=1) <= (r / 2) ** 2
         assert rec.failure_available == np.count_nonzero(near & ~blue)
         assert rec.failure_available < rec.failure_demanded
+        # the hub numbers are recorded as such, before any part is placed
+        assert (rec.hub_demanded, rec.hub_available) == (
+            rec.failure_demanded, rec.failure_available)
+        assert rec.failure_iteration == 0 and rec.failure_resource_id is None
+        assert rec.walked is None and rec.max_blue_overflow is None
 
     def test_success_is_certified(self):
         r = 0.6
@@ -146,11 +180,32 @@ class TestSimHubTransit:
         assert rec.s < H._prepare_geometry(cfg).tess.s
         assert rec.status == "success", rec
         assert rec.validator_ok
+        assert rec.hub_available >= rec.hub_demanded == 2 * (rec.k - 1)
+        assert rec.walked is not None and rec.max_blue_overflow is not None
+        row = rec.to_row()
+        assert all(row[f] is None for f in row if f.startswith("failure_"))
         coords, _ = self._instance(3)
         emb = rec.embedding
         assert np.array_equal(np.sort(emb), np.arange(self.n))
         step = coords[emb[1:]] - coords[emb[:-1]]
         assert np.all(np.sum(step * step, axis=1) <= r * r)
+
+    def test_step2_failure_records_where(self):
+        # small cells against parts of ~39 vertices: the hub holds its
+        # anchors, but cell 26 and the blue points of its successor 35 run
+        # out in part 32 of 128
+        n, r = 5000, 0.6
+        cfg = H.ExperimentConfig(
+            n=n, d=2, delta=3, tree_family="path", r_values=(r,), trials=1,
+            epsilon_override=4.9, m_override=40.0,
+        )
+        rec = H.run_universality_trial(cfg, r, seed=0)
+        assert rec.status == "failure"
+        assert (rec.failure_step, rec.failure_resource) == (2, "cell+successor")
+        assert (rec.k, rec.failure_iteration, rec.failure_resource_id) == (128, 32, (26, 35))
+        assert (rec.hub_demanded, rec.hub_available) == (254, 691)
+        assert rec.failure_available < rec.failure_demanded
+        assert rec.walked is None and rec.max_blue_overflow is None
 
     def test_walk_in_one_dimension(self):
         # at n=3e4, d=1, 6 r_c the anchors sit too far from most boxes, so
