@@ -112,8 +112,7 @@ def _cmd_lowerbound(args) -> int:
     else:
         raise ValueError("lowerbound needs --r or --r-mult")
     record = harness.run_lower_bound_experiment(
-        args.n, args.d, args.delta, r, args.trials, args.seed,
-        exact_cutoff=args.exact_diameter_cutoff,
+        args.n, args.d, args.delta, r, args.trials, args.seed
     )
     _emit(record.to_rows(), args)
     print(
@@ -173,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, action="append", default=None)
     p.add_argument("--r-mult", type=float, action="append", default=None)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--exact-diameter-cutoff", type=int, default=20000,
-                   help="all-source BFS below this size, double sweep above")
     p.set_defaults(func=_cmd_lowerbound)
 
     p = sub.add_parser("concentration", help="region point-count tail check")

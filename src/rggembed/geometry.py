@@ -383,9 +383,7 @@ class BallSystem:
         if target_cell == tess.central_cell:
             raise ValueError("the central cell has no transit balls")
         nu = int(tess.successor[target_cell])
-        if nu not in self._by_nu:
-            self._by_nu[nu] = _segment_ball_positions(tess, nu, self.epsilon_eff)
-        centres, cells, flags = self._by_nu[nu]
+        centres, cells, flags = self._positions(nu)
         return TransitBalls(
             target_cell=int(target_cell),
             nu_cell=nu,
@@ -394,6 +392,12 @@ class BallSystem:
             cells=cells,
             in_enclosing=flags,
         )
+
+    def _positions(self, nu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ball centres, cells and flags towards nu, built on first use."""
+        if nu not in self._by_nu:
+            self._by_nu[nu] = _segment_ball_positions(self.tess, nu, self.epsilon_eff)
+        return self._by_nu[nu]
 
     def distinct_nu_cells(self) -> np.ndarray:
         succ = self.tess.successor
@@ -404,21 +408,17 @@ class BallSystem:
 
         Segment geometry is invariant under axis permutations and per-axis
         reflections about the cube centre, so directions are deduplicated by
-        the sorted absolute grid displacement of nu from the central cell.
+        the sorted absolute grid displacement of nu from the central cell;
+        the smallest id stands for its class.
         """
         if self._max_gap is None:
             tess = self.tess
-            mid = (tess.s - 1) // 2
-            reps: dict[tuple, int] = {}
-            for nu in self.distinct_nu_cells():
-                disp = tess.grid_coords(int(nu)) - mid
-                key = tuple(sorted(abs(int(x)) for x in np.atleast_1d(disp)))
-                reps.setdefault(key, int(nu))
+            nus = self.distinct_nu_cells()
+            key = np.sort(np.abs(tess.grid_coords(nus) - (tess.s - 1) // 2), axis=1)
+            _, first = np.unique(key, axis=0, return_index=True)
             worst = 0.0
-            for nu in reps.values():
-                centres, _, _ = self._by_nu.setdefault(
-                    nu, _segment_ball_positions(tess, nu, self.epsilon_eff)
-                )
+            for nu in nus[first].tolist():
+                centres, _, _ = self._positions(nu)
                 steps = np.linalg.norm(np.diff(centres, axis=0), axis=1)
                 gap = float(steps.max()) + 2.0 * self.radius if len(steps) else 2.0 * self.radius
                 worst = max(worst, gap)

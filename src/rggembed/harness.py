@@ -1,4 +1,4 @@
-"""Seeded experiments: threshold sweeps, diameter lower bounds, region
+"""Seeded experiments: threshold curves, diameter lower bounds, region
 concentration, and the 1-d greedy curve.
 
 Everything is replayable: a configuration plus a master seed determines all
@@ -7,17 +7,18 @@ one independent trial seed per (radius, trial) pair up front, so individual
 trials can be re-run in isolation from their recorded seed.
 
 Two parameter modes exist.  ``paper`` uses the exact constants (headroom
-epsilon and part weight m = s^(-d) n / (8 d)); at workstation scale these
-are typically infeasible (epsilon above the ball limit, m below one vertex
-weight) and the trial records *why* instead of crashing.  ``sim`` caps
-epsilon at 0.5 and accepts explicit overrides for both knobs so that
-scaled-down qualitative runs are possible.  The paper's transit balls keep
-a size that ignores r (about 4.5 red points in the centre ball at n=1e5,
-d=2, against thousands of anchors), so sim mode differs in two places: it
-sizes the cells from the trial's radius (r_c in the s window gives way to
-max(r_c, r/(1+eps))), and Step 1 gathers all anchors in a hub of red points
-within r/2 of the cube centre, from which the vertices between an anchor
-and its part's cells walk out on red points (``embed._HubTransit``).
+epsilon and part weight m = s^(-d) n / (8 d)); these are infeasible at every
+n the harness can sample (``epsilon_param`` < 5, the ball limit, needs
+ln n >= 118 at d=1, delta=3), and the trial records *why* instead of
+crashing.  ``sim`` caps epsilon at 0.5 and accepts explicit overrides for
+both knobs so that scaled-down qualitative runs are possible.  The paper's
+transit balls keep a size that ignores r (about 4.5 red points in the centre
+ball at n=1e5, d=2, against thousands of anchors), so sim mode differs in
+two places: it sizes the cells from the trial's radius (r_c in the s window
+gives way to max(r_c, r/(1+eps))), and Step 1 gathers all anchors in a hub
+of red points within r/2 of the cube centre, from which the vertices
+between an anchor and its part's cells walk out on red points
+(``embed._HubTransit``).
 A trial's record keeps the numbers that decide it: the hub's demand and
 supply, and where a failure happened (step, part, resource and its id).
 ``verify_embedding`` is the only judge of a success in either mode: a
@@ -109,7 +110,7 @@ class ExperimentConfig:
             raise ValueError("radii and multipliers must be positive")
 
     def radii(self) -> list[tuple[float, float | None]]:
-        """List of (r, multiplier-or-None) pairs this config sweeps."""
+        """List of (r, multiplier-or-None) pairs this config runs."""
         if self.r_values:
             return [(float(r), None) for r in self.r_values]
         r_c = geometry.critical_radius(self.n, self.d, self.delta)
@@ -474,10 +475,14 @@ def run_threshold_sweep(config: ExperimentConfig) -> ThresholdCurve:
 
 @dataclass
 class LowerBoundTrial:
+    """Certified bracket diameter <= D <= diameter_upper; ``obstructed`` is
+    diameter > 2h, and when it is False, diameter_upper <= 2h."""
+
     seed: int
     diameter: float
+    diameter_upper: float
     diameter_exact: bool
-    obstructed: bool          # diameter (or its lower bound) exceeds 2h
+    obstructed: bool
     corner_occupied: bool
 
 
@@ -512,11 +517,11 @@ class LowerBoundRecord:
 
 def run_lower_bound_experiment(
     n: int, d: int, delta: int, r: float, trials: int, seed: int,
-    exact_cutoff: int = 20000,
 ) -> LowerBoundRecord:
-    """Hop-diameter (lower bound) of G_d(n, r) versus twice the height of the
-    truncated regular tree; a trial is *obstructed* when the diameter bound
-    exceeds 2h, certifying that the tree cannot embed in that sample."""
+    """Hop diameter of G_d(n, r) bracketed until it is decided against twice
+    the height h of the truncated regular tree: a trial is *obstructed* when
+    its lower end exceeds 2h, which certifies that the tree cannot embed in
+    that sample; otherwise its upper end is at most 2h."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if r <= 0:
@@ -528,12 +533,13 @@ def run_lower_bound_experiment(
     for s_i in seeds:
         points = rgg.sample_points(n, d, int(s_i))
         graph = rgg.build_graph(points, r)
-        diam = rgg.hop_diameter(graph, exact_cutoff=exact_cutoff)
+        diam = rgg.hop_diameter(graph, bound=2 * h)
         corner = bool(np.any(np.all(points.coords <= corner_side, axis=1)))
         out.append(
             LowerBoundTrial(
                 seed=int(s_i),
                 diameter=diam.value,
+                diameter_upper=diam.upper,
                 diameter_exact=diam.exact,
                 obstructed=bool(diam.value > 2 * h),
                 corner_occupied=corner,

@@ -8,8 +8,9 @@ distance <= r) is built only when a query first needs it: one vectorised
 sweep per half-stencil bucket offset pairs every point with the points of
 the neighbouring bucket and distance-tests the candidates ``_BLOCK`` at a
 time, so beyond the kept edges the build needs the scratch memory of one
-block.  Graph queries (BFS distances, diameters, connectivity) run on a
-symmetric CSR adjacency with ascending rows.
+block.  Graph queries run on a symmetric CSR adjacency with ascending rows;
+the one diameter query, ``hop_diameter``, is an iFUB bracket lb <= D <= ub
+that runs until it is exact or until it decides D against a given bound.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class GeometricGraph:
     """G_d(n, r): edge iff Euclidean distance <= r (closed threshold).
 
     The constructor only builds the bucket index: the points sorted by
-    bucket and each bucket's start in that order.  ``edges()`` sweeps the
+    bucket and each bucket's start in that order.  ``edges()`` scans the
     index block by block and keeps only the pairs within r; ``adjacency()``
     turns the sorted edge list into a symmetric CSR matrix (float64 ones,
     int32 indices, ascending rows), built lazily and cached because several
@@ -206,14 +207,6 @@ class GeometricGraph:
         diff = self.points.coords[u] - self.points.coords[v]
         return float(np.dot(diff, diff)) <= self.r**2
 
-    def is_connected(self) -> bool:
-        # strong components of a symmetric matrix are its components, and
-        # the directed search needs no transposed copy
-        n_comp = csgraph.connected_components(
-            self.adjacency(), directed=True, connection="strong", return_labels=False
-        )
-        return n_comp == 1
-
 
 def build_graph(points: PointSet, r: float) -> GeometricGraph:
     """Bucket-indexed geometric graph with the exact threshold edge set."""
@@ -231,56 +224,70 @@ def brute_force_edges(points: PointSet, r: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HopDiameter:
-    """Hop diameter; ``exact`` is False when the value is a certified lower
-    bound from iterated double-sweep BFS."""
+    """Certified bracket ``value <= D <= upper`` on the hop diameter D, both
+    ends ``math.inf`` when the graph is disconnected."""
 
-    value: float  # math.inf when disconnected
-    exact: bool
+    value: float
+    upper: float
+
+    @property
+    def exact(self) -> bool:
+        return self.value == self.upper
 
 
-def _bfs_distances(adj: sparse.csr_matrix, sources: np.ndarray) -> np.ndarray:
+# Sources per BFS call of the level scan; each call holds chunk * n float64
+# distances (12.8 MB at n = 1e5).
+_BFS_CHUNK = 16
+
+
+def _bfs_distances(adj: sparse.csr_matrix, sources, **kwargs):
     # the adjacency is symmetric, so directed search gives the undirected
-    # distances without the transposed copy an undirected call makes
-    return csgraph.dijkstra(adj, directed=True, unweighted=True, indices=sources)
+    # distances without the transposed copy an undirected call makes; its
+    # weights are all 1, so they give hop counts without the array of ones
+    # that unweighted=True allocates per call (a third of a BFS at n = 3e4)
+    return csgraph.dijkstra(adj, directed=True, indices=sources, **kwargs)
 
 
-def hop_diameter(
-    graph: GeometricGraph, exact_cutoff: int = 20000, sweeps: int = 4
-) -> HopDiameter:
-    """Hop diameter of the graph.
+def _decided(lb: float, ub: float, bound: float | None) -> bool:
+    return lb == ub or (bound is not None and (lb > bound or ub <= bound))
 
-    Exact (all-source BFS) for n <= exact_cutoff; otherwise an iterated
-    double-sweep lower bound, flagged via ``exact=False``.  Disconnected
-    graphs report infinity (exact either way): the first BFS already
-    reaches some vertex at distance infinity.
+
+def hop_diameter(graph: GeometricGraph, bound: float | None = None) -> HopDiameter:
+    """iFUB bracket lb <= D <= ub (Crescenzi et al., TCS 2013), run until
+    lb == ub or, given ``bound``, until lb > bound or ub <= bound.
+
+    BFS from vertex 0 gives D <= 2 ecc(0) and a farthest vertex a (smallest
+    id on ties); BFS from a gives lb = ecc(a).  BFS from u, the midpoint of
+    a's longest shortest path, levels the graph; its vertices are searched
+    from farthest level first, by ascending id, ``_BFS_CHUNK`` at a time
+    and never past a level's end.  Pairs with a searched vertex are within
+    lb, and unsearched vertices at levels <= i within 2i of each other
+    through u, so ub = max(lb, 2i) for the highest unsearched level i.
     """
     adj = graph.adjacency()
-    n = graph.n
-    if n == 1:
-        return HopDiameter(0.0, True)
-
-    if n <= exact_cutoff:
-        best = 0.0
-        chunk = max(1, min(n, 512))
-        for start in range(0, n, chunk):
-            dist = _bfs_distances(adj, np.arange(start, min(start + chunk, n)))
-            best = max(best, float(dist.max()))
-            if best == math.inf:
-                break
-        return HopDiameter(best, True)
-
-    # double sweep: ecc of any vertex lower-bounds the diameter; restarting
-    # from the farthest vertex found usually tightens it within a few rounds
-    src = 0
-    best = 0.0
-    for _ in range(sweeps):
-        dist = _bfs_distances(adj, np.array([src]))[0]
-        far = int(np.argmax(dist))
-        ecc = float(dist[far])
-        if ecc == math.inf:
-            return HopDiameter(math.inf, True)
-        if ecc <= best:
-            break
-        best = ecc
-        src = far
-    return HopDiameter(best, False)
+    dist = _bfs_distances(adj, 0)
+    if dist.max() == math.inf:
+        return HopDiameter(math.inf, math.inf)
+    ub = 2.0 * float(dist.max())
+    dist, pred = _bfs_distances(adj, int(np.argmax(dist)), return_predecessors=True)
+    lb = float(dist.max())
+    if not _decided(lb, ub, bound):
+        u = int(np.argmax(dist))
+        for _ in range(int(lb) // 2):
+            u = int(pred[u])
+        level = _bfs_distances(adj, u)
+        ecc_u = float(level.max())
+        lb, ub = max(lb, ecc_u), min(ub, 2.0 * ecc_u)
+        order = np.argsort(-level, kind="stable")
+        # the trailing level -1 makes ub = lb once every vertex is searched
+        levels = np.append(level[order], -1.0)
+        level_end = np.searchsorted(-levels, -levels, side="right")
+        lo = 0
+        while not _decided(lb, ub, bound):
+            hi = min(lo + _BFS_CHUNK, int(level_end[lo]))
+            lb = max(lb, float(_bfs_distances(adj, order[lo:hi]).max()))
+            ub = min(ub, max(lb, 2.0 * float(levels[hi])))
+            lo = hi
+    if not lb <= ub:
+        raise RuntimeError(f"diameter bracket inverted: lb = {lb} > ub = {ub}")
+    return HopDiameter(lb, ub)

@@ -144,29 +144,12 @@ def height_h(n: int, delta: int) -> int:
 
 def truncated_regular_tree(n: int, delta: int) -> Tree:
     """Rooted tree with exactly (delta-1)^i vertices at depth i < h and the
-    remaining vertices attached left to right at depth h."""
-    h = height_h(n, delta)
-    edges = []
-    prev_level = [0]
-    next_id = 1
-    for depth in range(1, h + 1):
-        want = (delta - 1) ** depth
-        if depth == h:
-            want = n - next_id
-        level = []
-        parent_idx = 0
-        slots_left = delta - 1
-        for _ in range(want):
-            parent = prev_level[parent_idx]
-            edges.append((parent, next_id))
-            level.append(next_id)
-            next_id += 1
-            slots_left -= 1
-            if slots_left == 0:
-                parent_idx += 1
-                slots_left = delta - 1
-        prev_level = level
-    return Tree.from_edges(n, edges)
+    remaining vertices attached left to right at depth h: in level order
+    each vertex takes the next delta-1 vertices as its children, so the
+    parent of v >= 1 is (v-1) // (delta-1)."""
+    height_h(n, delta)  # argument checks
+    v = np.arange(1, n)
+    return Tree.from_edges(n, np.stack(((v - 1) // (delta - 1), v), axis=1))
 
 
 def decode_prufer(seq, n: int) -> Tree:

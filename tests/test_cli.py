@@ -63,7 +63,27 @@ def test_lowerbound_output(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
-    assert {"diameter", "obstructed", "corner_occupied"} <= set(rows[0])
+    assert {"diameter", "diameter_upper", "obstructed", "corner_occupied"} <= set(rows[0])
+
+
+def test_lowerbound_rows_are_certified(tmp_path):
+    # at 1.2 r_c the diameter sits at 2h = 20, so both outcomes occur; an
+    # obstructed row is certified by its diameter, any other by its upper end
+    out = tmp_path / "lb.csv"
+    code = main([
+        "lowerbound", "--n", "2000", "--d", "2", "--delta", "3",
+        "--r-mult", "1.2", "--trials", "4", "--seed", "3", "--out", str(out),
+    ])
+    assert code == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["obstructed"] for row in rows} == {"True", "False"}
+    for row in rows:
+        two_h, lb, ub = int(row["two_h"]), float(row["diameter"]), float(row["diameter_upper"])
+        obstructed = row["obstructed"] == "True"
+        assert lb <= ub
+        assert obstructed == (lb > two_h)
+        assert obstructed or ub <= two_h
 
 
 def test_concentration_output(tmp_path, capsys):
@@ -112,6 +132,16 @@ def test_audit_flag_is_gone(capsys):
         ])
     assert exc.value.code == 2
     assert "--no-event-a" in capsys.readouterr().err
+
+
+def test_diameter_cutoff_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "lowerbound", "--n", "100", "--d", "2", "--r", "0.5",
+            "--exact-diameter-cutoff", "10",
+        ])
+    assert exc.value.code == 2
+    assert "--exact-diameter-cutoff" in capsys.readouterr().err
 
 
 def test_stdout_emission(capsys):

@@ -237,6 +237,36 @@ class TestTransitBalls:
         assert np.allclose(tb.centres, 0.5)
         assert G.verify_transit_balls(t, tb, r=2 / 3).p3
 
+    @pytest.mark.parametrize("d,s", [(1, 9), (2, 7), (2, 11), (3, 5)])
+    def test_max_gap_matches_per_cell_key(self, d, s):
+        # reference: the symmetry classes keyed cell by cell, first id kept
+        tess = G.build_tessellation(d, s)
+        bs = G.BallSystem(tess, 0.6)
+        reps = {}
+        for nu in bs.distinct_nu_cells().tolist():
+            disp = tess.grid_coords(nu) - (s - 1) // 2
+            reps.setdefault(tuple(sorted(abs(int(x)) for x in np.atleast_1d(disp))), nu)
+        worst = 0.0
+        for nu in reps.values():
+            centres = G._segment_ball_positions(tess, nu, 0.6)[0]
+            steps = np.linalg.norm(np.diff(centres, axis=0), axis=1)
+            worst = max(worst, (float(steps.max()) if len(steps) else 0.0) + 2.0 * bs.radius)
+        assert bs.max_consecutive_gap() == worst
+        assert sorted(bs._by_nu) == sorted(reps.values())
+
+    def test_directions_are_built_once(self, monkeypatch):
+        # a direction that for_target already built is not built again
+        built = []
+        positions = G._segment_ball_positions
+        monkeypatch.setattr(G, "_segment_ball_positions",
+                            lambda tess, nu, eps: built.append(nu) or positions(tess, nu, eps))
+        tess = G.build_tessellation(2, 7)
+        bs = G.BallSystem(tess, 0.6)
+        first = bs.for_target(0)
+        bs.max_consecutive_gap()
+        assert len(built) == len(set(built))
+        assert bs.for_target(0).centres is first.centres
+
 
 def _consistent_radius(d, s, eps, rng):
     """A radius of the form (1 + eps) r_c with r_c drawn from the window

@@ -292,13 +292,26 @@ class TestLowerBound:
         assert rec.obstruction_fraction == 0.0
 
     def test_corner_occupancy_matches_analytic(self):
-        # exact_cutoff=1 keeps the diameter to a double sweep; this test
-        # only cares about the corner statistics
-        rec = H.run_lower_bound_experiment(
-            3000, 2, 3, 0.2, trials=50, seed=1, exact_cutoff=1
-        )
+        # the diameter (about 9) is decided against 2h = 22 by its upper end
+        rec = H.run_lower_bound_experiment(3000, 2, 3, 0.2, trials=50, seed=1)
         assert rec.corner_hit_probability > 0.99
         assert rec.corner_fraction >= 0.9
+        assert all(t.diameter_upper <= rec.two_h for t in rec.trials)
+
+    def test_decisions_are_certified(self):
+        # from 0.9 to 1.3 r_c the diameter crosses 2h = 20; every decision
+        # carries its certificate, and at 1.2 r_c the diameter equals 2h
+        seen = set()
+        for mult in (0.9, 1.1, 1.2, 1.3):
+            r = mult * G.critical_radius(2000, 2, 3)
+            rec = H.run_lower_bound_experiment(2000, 2, 3, r, trials=4, seed=3)
+            for t in rec.trials:
+                assert t.diameter <= t.diameter_upper
+                assert t.diameter_exact == (t.diameter == t.diameter_upper)
+                assert t.obstructed == (t.diameter > rec.two_h)
+                assert t.obstructed or t.diameter_upper <= rec.two_h
+                seen.add((t.obstructed, t.diameter == rec.two_h))
+        assert {(True, False), (False, True)} <= seen
 
     def test_rejections(self):
         with pytest.raises(ValueError):

@@ -161,39 +161,25 @@ class TestHopDiameter:
             assert diam.value >= math.ceil(dist / r) - 1e-9
 
     def test_double_sweep_is_lower_bound(self):
+        # a bound far below the diameter is decided by the first two BFS,
+        # whose eccentricity is already close to the diameter
         pts = rgg.sample_points(900, 2, 21)
         g = rgg.build_graph(pts, 0.12)
-        exact = rgg.hop_diameter(g, exact_cutoff=2000)
-        approx = rgg.hop_diameter(g, exact_cutoff=10)
-        if exact.value < math.inf:
-            assert not approx.exact
-            assert approx.value <= exact.value
-            # double sweep is usually tight on geometric graphs
-            assert approx.value >= 0.5 * exact.value
+        exact = rgg.hop_diameter(g)
+        early = rgg.hop_diameter(g, bound=1)
+        assert exact.exact and exact.value < math.inf
+        assert early.value > 1
+        assert early.value <= exact.value <= early.upper
+        assert early.value >= 0.5 * exact.value
 
     def test_sweep_reports_disconnected(self):
         # a single BFS from vertex 0 cannot reach the far cluster
         pts = rgg.PointSet(d=1, coords=np.array([[0.05], [0.1], [0.15], [0.8], [0.85]]))
         g = rgg.build_graph(pts, 0.06)
-        result = rgg.hop_diameter(g, exact_cutoff=2)
-        assert result.value == math.inf and result.exact
-        assert not g.is_connected()
-
-    @pytest.mark.parametrize("sweeps", [1, 4])
-    def test_sweep_matches_undirected_reference(self, sweeps):
-        pts = rgg.sample_points(1500, 2, 31)
-        g = rgg.build_graph(pts, 0.08)
-        adj = g.adjacency()
-        assert g.is_connected()
-        src, best = 0, 0.0
-        for _ in range(sweeps):
-            dist = csgraph.dijkstra(adj, directed=False, unweighted=True, indices=src)
-            far = int(np.argmax(dist))
-            if dist[far] <= best:
-                break
-            src, best = far, float(dist[far])
-        result = rgg.hop_diameter(g, exact_cutoff=100, sweeps=sweeps)
-        assert result.value == best and not result.exact
+        for bound in (None, 1):
+            result = rgg.hop_diameter(g, bound=bound)
+            assert result.value == result.upper == math.inf and result.exact
+        assert csgraph.connected_components(g.adjacency(), return_labels=False) == 2
 
     def test_exact_matches_undirected_reference(self):
         pts = rgg.sample_points(700, 2, 32)
@@ -201,6 +187,48 @@ class TestHopDiameter:
         dist = csgraph.dijkstra(g.adjacency(), directed=False, unweighted=True)
         result = rgg.hop_diameter(g)
         assert result.value == dist.max() < math.inf and result.exact
+
+    def test_exact_on_many_graphs(self):
+        # connected and disconnected graphs alike: the bracket closes on the
+        # all-pairs maximum, and every bound is decided inside the bracket
+        rng = np.random.default_rng(9)
+        kinds = set()
+        for t in range(200):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 601))
+            r = float(rng.uniform(0.02, 0.2)) * math.sqrt(d)
+            g = rgg.build_graph(rgg.sample_points(n, d, t), r)
+            want = csgraph.dijkstra(g.adjacency(), directed=False, unweighted=True).max()
+            kinds.add(want == math.inf)
+            result = rgg.hop_diameter(g)
+            assert result.value == result.upper == want and result.exact, (t, n, d, r)
+            for bound in (0, 1, 2, 3, 5, 8, 13, 21):
+                b = rgg.hop_diameter(g, bound=bound)
+                assert b.value <= want <= b.upper, (t, bound)
+                assert b.value > bound or b.upper <= bound, (t, bound)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("bound", [9, 10, 11])
+    def test_chain_at_the_bound(self, bound):
+        # diameter 10: a bound of 10 is not exceeded, which only the upper
+        # end can certify
+        pts = rgg.PointSet(d=1, coords=np.linspace(0, 1, 11)[:, None])
+        result = rgg.hop_diameter(rgg.build_graph(pts, 0.100001), bound=bound)
+        assert result.value <= 10 <= result.upper
+        assert (result.value > bound) == (bound < 10)
+        if bound >= 10:
+            assert result.upper <= bound
+
+    def test_two_points(self):
+        pts = rgg.PointSet(d=2, coords=np.array([[0.2, 0.2], [0.5, 0.6]]))
+        for r, want in ((0.5, 1.0), (0.1, math.inf)):
+            result = rgg.hop_diameter(rgg.build_graph(pts, r))
+            assert result.value == result.upper == want and result.exact
+
+    def test_single_point_with_bound(self):
+        pts = rgg.PointSet(d=2, coords=np.array([[0.4, 0.7]]))
+        result = rgg.hop_diameter(rgg.build_graph(pts, 0.3), bound=0)
+        assert result.value == result.upper == 0 and result.exact
 
 
 class TestColorPoints:

@@ -86,6 +86,26 @@ class TestTruncatedRegularTree:
                 assert sizes[i] == (delta - 1) ** i
             assert trees.tree_stats(t).diameter <= 2 * h
 
+    @staticmethod
+    def _level_loop_edges(n, delta):
+        """Oracle: the tree grown level by level, each vertex of the previous
+        level taking the next delta-1 vertices as children in turn."""
+        edges, prev_level, next_id = [], [0], 1
+        for depth in range(1, trees.height_h(n, delta) + 1):
+            want = min((delta - 1) ** depth, n - next_id)
+            level = list(range(next_id, next_id + want))
+            edges += [(prev_level[i // (delta - 1)], v) for i, v in enumerate(level)]
+            prev_level, next_id = level, next_id + want
+        return edges
+
+    @pytest.mark.parametrize("delta", [3, 4, 5, 7])
+    def test_closed_form_matches_level_loop(self, delta):
+        for n in list(range(2, 400)) + [1000, 30000]:
+            t = trees.truncated_regular_tree(n, delta)
+            want = trees.Tree.from_edges(n, self._level_loop_edges(n, delta))
+            assert np.array_equal(t.indptr, want.indptr), n
+            assert np.array_equal(t.indices, want.indices), n
+
 
 class TestPrufer:
     def test_star_example(self):
