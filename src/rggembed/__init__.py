@@ -40,12 +40,10 @@ from .trees import (
     random_bounded_degree_tree,
     path_tree,
     star_tree,
-    tree_stats,
 )
 from .decompose import (
     Decomposition,
     split_tree,
-    compute_levels,
 )
 from .embed import (
     Embedding,

@@ -13,14 +13,18 @@ vertices.  The tree is rooted once; in DFS preorder every component is a
 sorted run of positions and its subtree weights come from one prefix sum.
 
 Endpoints of cut edges are *anchors*; the *level* of a vertex is its hop
-distance, inside its own part, to the nearest anchor of that part.  A
-decomposition with a single part has no anchors and uses level 0 everywhere
-by convention.
+distance, inside its own part, to the nearest anchor of that part.  One
+breadth-first search over the edges inside parts, from a super-source joined
+to the sorted anchors, gives every level and every part's placement order
+at once: restricted to one part, it is that part's own BFS from its anchors.
+A decomposition with a single part has no anchors; it uses level 0
+everywhere by convention and the BFS order from vertex 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -31,17 +35,33 @@ from .trees import Tree, adjacency_arrays, tree_graph
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Partition of V(T) into subtree parts, with cut edges, anchors, levels."""
+    """Partition of V(T) into subtree parts, with cut edges, levels and the
+    order in which each part is placed.
 
-    parts: tuple            # tuple of tuples of vertex ids, each sorted
-    part_of: np.ndarray     # (n,) part index per vertex
-    cut_edges: tuple        # tuple of (u, v) with u < v
-    anchors: tuple          # sorted vertex ids incident to cut edges
+    Each fact is stored once; ``parts`` and ``anchors`` are views of
+    ``part_of`` and ``cut_edges``, built on first use.
+    """
+
+    part_of: np.ndarray     # (n,) part index per vertex, parts numbered by smallest vertex
+    cut_edges: tuple        # sorted tuple of (u, v) with u < v
     levels: np.ndarray      # (n,) distance to nearest same-part anchor
+    order: np.ndarray       # (n,) every vertex, grouped by part, each part in BFS order
 
     @property
     def k(self) -> int:
-        return len(self.parts)
+        return int(self.part_of.max()) + 1
+
+    @cached_property
+    def parts(self) -> tuple:
+        """Each part's vertex ids as a sorted tuple of ints."""
+        ids = np.argsort(self.part_of, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.part_of)).tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends[:-1], ends))
+
+    @cached_property
+    def anchors(self) -> tuple:
+        """The endpoints of the cut edges, sorted."""
+        return tuple(sorted({x for e in self.cut_edges for x in e}))
 
 
 class _RootedTree:
@@ -155,74 +175,66 @@ def split_tree(tree: Tree, w, m: float, delta: int) -> Decomposition:
     if total < m0 - 1e-12:
         raise ValueError(f"total weight {total:.6g} < m0 = {m0:.6g}")
 
+    n = tree.n
     rooted = _RootedTree(tree, w)
-    parts: list[list[int]] = []
+    part_of = np.empty(n, dtype=np.int64)
+    smallest: list[int] = []      # smallest vertex of each part, as found
     cut_edges: list[tuple[int, int]] = []
-    pending = [np.arange(tree.n, dtype=np.int64)]
+    pending = [np.arange(n, dtype=np.int64)]
     while pending:
         comp = pending.pop()
         if float(rooted.w[comp].sum()) <= m + 1e-12:
-            parts.append(np.sort(rooted.ids[comp]).tolist())
+            ids = rooted.ids[comp]
+            part_of[ids] = len(smallest)
+            smallest.append(int(ids.min()))
             continue
         v, u, side_u, side_v = rooted.centroid_cut(comp)
         cut_edges.append((min(u, v), max(u, v)))
         pending.append(side_u)
         pending.append(side_v)
-
     del rooted, pending
-    parts.sort(key=lambda p: p[0])
-    part_of = np.empty(tree.n, dtype=np.int64)
-    for idx, part in enumerate(parts):
-        part_of[part] = idx
+    # number the parts by their smallest vertex
+    part_of = np.argsort(np.argsort(smallest))[part_of]
+
+    cut_edges.sort()
     anchors = sorted({x for e in cut_edges for x in e})
-
-    decomp = Decomposition(
-        parts=tuple(tuple(p) for p in parts),
-        part_of=part_of,
-        cut_edges=tuple(sorted(cut_edges)),
-        anchors=tuple(anchors),
-        levels=np.zeros(tree.n, dtype=np.int64),
-    )
-    levels = compute_levels(decomp, tree)
+    graph = _anchor_graph(tree, part_of, anchors or [0])
+    bfs, pred = csgraph.breadth_first_order(graph, n, return_predecessors=True)
+    bfs = bfs[1:]
+    levels = np.zeros(n, dtype=np.int64)
+    if anchors:
+        # Along a queue BFS the parents' positions never decrease, so level
+        # j + 1 is the run of vertices whose parents lie in level j's run.
+        pos = np.zeros(n + 1, dtype=np.int64)   # the source n sits at 0
+        pos[bfs] = np.arange(1, n + 1)
+        up = pos[pred[bfs]]                 # parent's position, 0 for the source
+        ends = [0]                          # level j is bfs[ends[j]:ends[j + 1]]
+        while ends[-1] < len(bfs):
+            ends.append(int(np.searchsorted(up, ends[-1] + 1)))
+        levels[bfs] = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
     return Decomposition(
-        parts=decomp.parts,
-        part_of=decomp.part_of,
-        cut_edges=decomp.cut_edges,
-        anchors=decomp.anchors,
+        part_of=part_of,
+        cut_edges=tuple(cut_edges),
         levels=levels,
+        order=bfs[np.argsort(part_of[bfs], kind="stable")],
     )
 
 
-def anchor_graph(tree: Tree, part_of: np.ndarray, anchors) -> sparse.csr_matrix:
+def _anchor_graph(tree: Tree, part_of: np.ndarray, sources) -> sparse.csr_matrix:
     """The tree's edges inside parts, both directions, plus a super-source
-    vertex n with an edge to every anchor; every row lists its neighbours
+    vertex n with an edge to every source; every row lists its neighbours
     in ascending order, so a BFS from n visits like a queue seeded with the
-    sorted anchors."""
+    sorted sources."""
     n = tree.n
     tails, heads = adjacency_arrays(tree)
     inside = part_of[tails] == part_of[heads]
-    indices = np.concatenate((heads[inside], np.asarray(anchors, dtype=np.int32)))
+    indices = np.concatenate((heads[inside], np.asarray(sources, dtype=np.int32)))
     indptr = np.zeros(n + 2, dtype=np.int32)
     indptr[1 : n + 1] = np.cumsum(np.bincount(tails[inside], minlength=n))
     indptr[n + 1] = len(indices)
     return sparse.csr_matrix(
         (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n + 1, n + 1)
     )
-
-
-def compute_levels(decomposition: Decomposition, tree: Tree) -> np.ndarray:
-    """Per-vertex distance, within its part, to the nearest anchor of that
-    part (one BFS from a super-source joined to every anchor, over the
-    edges inside parts); all zeros for an anchor-free part."""
-    n = tree.n
-    levels = np.zeros(n, dtype=np.int64)
-    if not decomposition.anchors:
-        return levels
-    graph = anchor_graph(tree, decomposition.part_of, decomposition.anchors)
-    dist = csgraph.shortest_path(graph, indices=n, unweighted=True)[:n]
-    reached = np.isfinite(dist)
-    levels[reached] = dist[reached].astype(np.int64) - 1
-    return levels
 
 
 def _require(ok, message: str) -> None:
@@ -241,19 +253,12 @@ def check_decomposition(tree: Tree, w, m: float, delta: int,
     w = _as_weights(tree, w)
     m0 = m / (delta + 1)
     n = tree.n
+    part_of = decomp.part_of
+    labels = np.unique(part_of)
+    _require(part_of.shape == (n,) and np.array_equal(labels, np.arange(len(labels))),
+             "part_of does not label every vertex with 0..k-1, using every label")
     k = decomp.k
-
-    all_vertices = sorted(v for part in decomp.parts for v in part)
-    _require(all_vertices == list(range(n)), "parts do not partition V(T)")
-    owner = np.empty(n, dtype=np.int64)
-    for idx, part in enumerate(decomp.parts):
-        owner[list(part)] = idx
-    _require(np.array_equal(decomp.part_of, owner), "part_of disagrees with parts")
-
     _require(len(decomp.cut_edges) == k - 1, "expected k-1 cut edges")
-    _require(len(decomp.anchors) <= max(0, 2 * k - 2), "too many anchors")
-    _require(set(decomp.anchors) == {x for e in decomp.cut_edges for x in e},
-             "anchors are not the endpoints of the cut edges")
 
     total = float(w.sum())
     _require(k <= total / m0 + 1e-9, "k exceeds w(T)/m0")
@@ -263,11 +268,11 @@ def check_decomposition(tree: Tree, w, m: float, delta: int,
     edge_set = set(zip(tails[forward].tolist(), heads[forward].tolist()))
     for e in decomp.cut_edges:
         _require(tuple(e) in edge_set, f"cut edge {e} is not a tree edge")
-        _require(owner[e[0]] != owner[e[1]], f"cut edge {e} inside a part")
+        _require(part_of[e[0]] != part_of[e[1]], f"cut edge {e} inside a part")
 
     # connectivity: the tree's edges inside parts join each part into one
     # component
-    inside = owner[tails] == owner[heads]
+    inside = part_of[tails] == part_of[heads]
     graph = sparse.csr_matrix(
         (np.ones(int(inside.sum()), dtype=np.int8), (tails[inside], heads[inside])),
         shape=(n, n),
@@ -286,3 +291,11 @@ def check_decomposition(tree: Tree, w, m: float, delta: int,
              "levels of adjacent same-part vertices differ by more than one")
     _require(all(levels[u] == 0 and levels[v] == 0 for u, v in decomp.cut_edges),
              "a cut edge has an endpoint off level 0")
+
+    # the placement order: every vertex once, grouped by part, each part
+    # by level
+    order = decomp.order
+    _require(np.array_equal(np.sort(order), np.arange(n)), "order does not list every vertex once")
+    step_part, step_level = np.diff(part_of[order]), np.diff(levels[order])
+    _require(np.all((step_part > 0) | ((step_part == 0) & (step_level >= 0))),
+             "order does not run through the parts in turn, each by level")

@@ -1,15 +1,16 @@
 """The two-step tree embedding algorithm, its validator, and the 1-d greedy.
 
 ``embed_tree`` splits the tree into parts of comparable size, then embeds
-the parts one by one.  Each part picks as target the earliest cell in the
-tessellation ordering that still has an unoccupied point.  A part whose
-target is the central cell is embedded entirely inside it.  Otherwise
-Step 1 places the vertices at anchor-distance j (j = 0..eta) on unoccupied
-red points of transit ball j for that target, walking the part from the
-cube centre out to the target; Step 2 places the remaining vertices on
-unoccupied points of the target cell and, if those run out, on unoccupied
-blue points of its adjacent successor.  Running out of points anywhere is a
-structured FAILURE, not an exception.
+the parts one by one, each in the order the split computed for it: BFS
+from its sorted anchors, level by level.  Each part picks as target the
+earliest cell in the tessellation ordering that still has an unoccupied
+point.  A part whose target is the central cell is embedded entirely
+inside it.  Otherwise Step 1 places the vertices at anchor-distance j
+(j = 0..eta) on unoccupied red points of transit ball j for that target,
+walking the part from the cube centre out to the target; Step 2 places the
+remaining vertices on unoccupied points of the target cell and, if those
+run out, on unoccupied blue points of its adjacent successor.  Running out
+of points anywhere is a structured FAILURE, not an exception.
 
 Success implies a valid embedding: before doing anything else the algorithm
 checks the two geometric facts the placement rules rely on, namely that any
@@ -42,7 +43,7 @@ from scipy.spatial import cKDTree
 from .geometry import BallSystem, Tessellation
 from .rgg import ColorAssignment, GeometricGraph, PointSet
 from .trees import Tree, adjacency_arrays, tree_graph
-from .decompose import Decomposition, anchor_graph, split_tree
+from .decompose import Decomposition, split_tree
 
 
 @dataclass(frozen=True)
@@ -156,26 +157,19 @@ class _PointPools:
         return self._take_special(("ball", nu, j), build, cell, want)
 
 
-def _part_schedules(tree: Tree, decomp: Decomposition, eta: int):
+def _part_schedules(decomp: Decomposition, eta: int):
     """Each part's BFS order from its sorted anchors, grouped by level.
 
     Yields, part by part, (level_groups, tail): ``level_groups[j]`` holds
     the level-j vertices for j <= eta and ``tail`` the deeper ones, all in
-    BFS order.  One multi-source BFS over the edges inside parts gives every
-    part's order at once: restricted to one part it is that part's own BFS.
-    An anchor-free part (single-part decomposition) routes everything
-    through the tail.
+    BFS order.  These are slices of ``decomp.order``, where each part's run
+    ascends by level.  An anchor-free part (single-part decomposition)
+    routes everything through the tail.
     """
-    if not decomp.anchors:
-        order = csgraph.breadth_first_order(
-            tree_graph(tree), decomp.parts[0][0], return_predecessors=False
-        )
-        empty = order[:0]
-        yield [empty] * (eta + 1), order
+    order = decomp.order
+    if not decomp.cut_edges:
+        yield [order[:0]] * (eta + 1), order
         return
-    graph = anchor_graph(tree, decomp.part_of, decomp.anchors)
-    order = csgraph.breadth_first_order(graph, tree.n, return_predecessors=False)[1:]
-    order = order[np.argsort(decomp.part_of[order], kind="stable")]
     levels = decomp.levels[order]
     starts = np.searchsorted(decomp.part_of[order], np.arange(decomp.k + 1))
     for a, b in zip(starts[:-1], starts[1:]):
@@ -357,12 +351,11 @@ def embed_tree(
     balls: BallSystem | None,
     m: float,
     delta: int,
-    weights=None,
 ) -> Embedding:
     """Run the two-step embedding of ``tree`` into ``graph``.
 
     Requires one point per vertex and tree max degree at most delta; the
-    split preconditions on (weights, m, delta) must hold.  Returns a total
+    split preconditions on (unit weights, m, delta) must hold.  Returns a total
     injective map on success and a structured FAILURE otherwise.  With
     ``balls=None`` Step 1 is the simulation-mode transit (``_HubTransit``)
     instead of the transit balls.
@@ -401,7 +394,7 @@ def embed_tree(
                 message=f"worst consecutive ball gap {max_gap:.6g} exceeds r = {r:.6g}",
             ))
 
-    decomp = split_tree(tree, weights, m, delta)
+    decomp = split_tree(tree, None, m, delta)
     k = decomp.k
     diagnostics["k"] = k
     diagnostics["n_anchors"] = len(decomp.anchors)
@@ -427,7 +420,7 @@ def embed_tree(
     targets: list[int] = []
     diagnostics["targets"] = targets
     blue_overflow: dict[int, int] = {}
-    schedules = _part_schedules(tree, decomp, eta)
+    schedules = _part_schedules(decomp, eta)
 
     def assign(vertices: np.ndarray, pids: np.ndarray) -> None:
         mapping[vertices[: len(pids)]] = pids

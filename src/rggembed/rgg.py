@@ -1,16 +1,17 @@
 """Random geometric graphs on the unit cube via a cell-list spatial index.
 
-``sample_points`` draws n i.i.d. uniform points in [0,1]^d; ``build_graph``
-buckets them into a grid of side >= r, so that all neighbours of a point lie
-in the 3^d surrounding buckets (a fixed-radius cell list, Bentley, Stanat &
-Williams, IPL 1977).  The exact edge set (closed threshold, edge iff
-distance <= r) is built only when a query first needs it: one vectorised
-sweep per half-stencil bucket offset pairs every point with the points of
-the neighbouring bucket and distance-tests the candidates ``_BLOCK`` at a
-time, so beyond the kept edges the build needs the scratch memory of one
-block.  Graph queries run on a symmetric CSR adjacency with ascending rows;
-the one diameter query, ``hop_diameter``, is an iFUB bracket lb <= D <= ub
-that runs until it is exact or until it decides D against a given bound.
+``sample_points`` draws n i.i.d. uniform points in [0,1]^d.  The exact edge
+set of ``build_graph``'s graph (closed threshold, edge iff distance <= r) is
+built only when a query first needs it.  The build buckets the points into a
+grid of side >= r, so that all neighbours of a point lie in the 3^d
+surrounding buckets (a fixed-radius cell list, Bentley, Stanat & Williams,
+IPL 1977); one vectorised sweep per half-stencil bucket offset pairs every
+point with the points of the neighbouring bucket and distance-tests the
+candidates ``_BLOCK`` at a time, so beyond the kept edges the build needs
+the working memory of one block.  Graph queries run on a symmetric CSR
+adjacency with ascending rows; the one diameter query, ``hop_diameter``, is
+an iFUB bracket lb <= D <= ub that runs until it is exact or until it
+decides D against a given bound.
 """
 
 from __future__ import annotations
@@ -79,15 +80,30 @@ def color_points(points: PointSet, p_blue: float, seed) -> ColorAssignment:
 _BLOCK = 1 << 15
 
 
+def _bucket_index(points: PointSet, r: float):
+    """The cell list of ``points`` for radius r: grid side k (bucket side
+    1/k >= r), each point's bucket id, the points sorted by bucket (stable)
+    and each bucket's start in that order."""
+    n, d = points.n, points.d
+    # cap k so the grid never dwarfs the point count
+    k_cap = int(math.ceil(n ** (1.0 / d))) + 1
+    k = max(1, min(int(math.floor(1.0 / r)), k_cap))
+    cell = np.minimum((points.coords * k).astype(np.int64), k - 1)
+    bucket = np.ravel_multi_index(tuple(cell.T), (k,) * d)
+    order = np.argsort(bucket, kind="stable")
+    starts = np.searchsorted(bucket[order], np.arange(k**d + 1))
+    return k, bucket, order, starts
+
+
 class GeometricGraph:
     """G_d(n, r): edge iff Euclidean distance <= r (closed threshold).
 
-    The constructor only builds the bucket index: the points sorted by
-    bucket and each bucket's start in that order.  ``edges()`` scans the
-    index block by block and keeps only the pairs within r; ``adjacency()``
-    turns the sorted edge list into a symmetric CSR matrix (float64 ones,
-    int32 indices, ascending rows), built lazily and cached because several
-    consumers (the embedding algorithm in particular) never look at edges.
+    The constructor only checks r and keeps the points.  ``edges()`` builds
+    the bucket index (``_bucket_index``), scans it block by block and keeps
+    only the pairs within r; ``adjacency()`` turns the sorted edge list into
+    a symmetric CSR matrix (float64 ones, int32 indices, ascending rows),
+    built lazily and cached because several consumers (the embedding
+    algorithm in particular) never look at edges.
     """
 
     def __init__(self, points: PointSet, r: float):
@@ -97,19 +113,6 @@ class GeometricGraph:
             raise ValueError(f"r = {r} exceeds the cube diameter sqrt(d)")
         self.points = points
         self.r = float(r)
-        n, d = points.n, points.d
-        # bucket side 1/k >= r; cap k so the grid never dwarfs the point count
-        k_cap = int(math.ceil(n ** (1.0 / d))) + 1
-        self._grid_k = max(1, min(int(math.floor(1.0 / self.r)), k_cap))
-        bucket = np.minimum(
-            (points.coords * self._grid_k).astype(np.int64), self._grid_k - 1
-        )
-        self._bucket_id = np.ravel_multi_index(tuple(bucket.T), (self._grid_k,) * d)
-        self._by_bucket = np.argsort(self._bucket_id, kind="stable")
-        sorted_ids = self._bucket_id[self._by_bucket]
-        self._bucket_starts = np.searchsorted(
-            sorted_ids, np.arange(self._grid_k**d + 1)
-        )
         self._csr: sparse.csr_matrix | None = None
 
     @property
@@ -132,10 +135,10 @@ class GeometricGraph:
         candidates is cut from that sequence with repeat/cumsum arithmetic,
         so a block may start or end inside a row.
         """
-        n, d, k = self.n, self.d, self._grid_k
-        order, starts = self._by_bucket, self._bucket_starts
+        n, d = self.n, self.d
+        k, bucket, order, starts = _bucket_index(self.points, self.r)
         coords = self.points.coords[order]
-        bucket = self._bucket_id[order]
+        bucket = bucket[order]
         sizes = np.diff(starts)
         cells = np.stack(np.unravel_index(np.arange(k**d), (k,) * d))
         pos = np.arange(n)
@@ -193,10 +196,6 @@ class GeometricGraph:
             data = np.ones(len(row))
             self._csr = sparse.csr_matrix((data, (row, col)), shape=(self.n, self.n))
         return self._csr
-
-    def neighbors(self, i: int) -> np.ndarray:
-        a = self.adjacency()
-        return a.indices[a.indptr[i] : a.indptr[i + 1]]
 
     def n_edges(self) -> int:
         return self.adjacency().nnz // 2

@@ -246,15 +246,3 @@ def width_from(tree: Tree, v: int) -> int:
     """Largest BFS level size when the tree is rooted at v."""
     return int(np.bincount(hop_distances(tree, v)).max())
 
-
-@dataclass(frozen=True)
-class TreeStats:
-    max_degree: int
-    diameter: int
-
-
-def tree_stats(tree: Tree) -> TreeStats:
-    """Max degree and exact diameter (double BFS, exact on trees); the far
-    end of the first sweep is the smallest id at the largest distance."""
-    far = int(np.argmax(hop_distances(tree, 0)))
-    return TreeStats(max_degree=tree.max_degree(), diameter=height_from(tree, far))

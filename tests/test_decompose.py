@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,7 +13,6 @@ from rggembed.decompose import (
     Decomposition,
     _RootedTree,
     check_decomposition,
-    compute_levels,
     split_tree,
 )
 
@@ -24,18 +24,20 @@ def weighted_centroid(tree, w=None):
     return _RootedTree(tree, w).centroid_cut(np.arange(tree.n))[0]
 
 
-def bfs_distances(tree, root, within=None):
-    """Oracle: hop distances from root via a hand-rolled BFS, optionally
-    restricted to the vertex set ``within``."""
-    dist = {root: 0}
-    q = deque([root])
-    while q:
-        u = q.popleft()
+def per_part_bfs(tree, part_of, sources):
+    """Oracle: a queue BFS from the sorted ``sources`` over the tree's edges
+    inside parts, as a hand-rolled loop; returns the visit order and each
+    visited vertex's hop distance to the nearest source."""
+    dist = dict.fromkeys(sources, 0)
+    order, queue = [], deque(sources)
+    while queue:
+        u = queue.popleft()
+        order.append(u)
         for v in tree.adj[u]:
-            if v not in dist and (within is None or v in within):
+            if v not in dist and part_of[v] == part_of[u]:
                 dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
+                queue.append(v)
+    return order, dist
 
 
 def brute_force_centroid(tree, w):
@@ -229,51 +231,63 @@ class TestSplitTree:
         assert a.parts == b.parts and a.cut_edges == b.cut_edges
 
 
-class TestComputeLevels:
-    def test_single_anchor_line(self):
-        p3 = trees.path_tree(3)
-        dec = Decomposition(
-            parts=((0, 1, 2),),
-            part_of=np.zeros(3, dtype=np.int64),
-            cut_edges=(),
-            anchors=(0,),
-            levels=np.zeros(3, dtype=np.int64),
-        )
-        assert list(compute_levels(dec, p3)) == [0, 1, 2]
-
-    def test_two_anchor_line(self):
-        p5 = trees.path_tree(5)
-        dec = Decomposition(
-            parts=((0, 1, 2, 3, 4),),
-            part_of=np.zeros(5, dtype=np.int64),
-            cut_edges=(),
-            anchors=(0, 4),
-            levels=np.zeros(5, dtype=np.int64),
-        )
-        assert list(compute_levels(dec, p5)) == [0, 1, 2, 1, 0]
-
-    @given(seed=st.integers(0, 200))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_all_pairs_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 50))
-        delta = int(rng.integers(3, 6))
-        tree = trees.random_bounded_degree_tree(n, delta, seed)
+def random_split(seed):
+    """A random tree and its split; every fifth seed holds the whole tree in
+    one anchor-free part."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 150))
+    delta = int(rng.integers(3, 6))
+    tree = trees.random_bounded_degree_tree(n, delta, seed)
+    if seed % 5 == 0:
+        m = float(max(n, delta + 1))
+    else:
         m = float(rng.uniform(delta + 1, max(delta + 2, n)))
-        dec = split_tree(tree, None, m, delta)
-        part_of = dec.part_of
-        anchor_set = set(dec.anchors)
-        for v in range(n):
-            # oracle: BFS from v restricted to its part, nearest anchor
-            if not anchor_set:
+    return tree, split_tree(tree, None, m, delta), rng
+
+
+class TestComputeLevels:
+    @given(seed=st.integers(0, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_all_pairs_oracle(self, seed):
+        # each vertex's level against a BFS from it inside its part (nearest
+        # same-part anchor), and the placement order against one queue BFS
+        # per part from its sorted anchors (from vertex 0 when anchor-free)
+        tree, dec, _ = random_split(seed)
+        anchors = set(dec.anchors)
+        for v in range(tree.n):
+            if not anchors:
                 assert dec.levels[v] == 0
                 continue
-            dist = bfs_distances(tree, v, within=set(dec.parts[part_of[v]]))
-            expected = min(dist[a] for a in anchor_set if part_of[a] == part_of[v])
-            assert dec.levels[v] == expected
+            _, dist = per_part_bfs(tree, dec.part_of, [v])
+            assert dec.levels[v] == min(dist[a] for a in anchors if a in dist)
+        order = []
+        for part in dec.parts:
+            part_order, _ = per_part_bfs(tree, dec.part_of, sorted(anchors.intersection(part)) or [0])
+            assert sorted(part_order) == list(part)
+            order += part_order
+        assert dec.order.tolist() == order
+
+
+class TestViews:
+    @given(seed=st.integers(0, 500))
+    @settings(max_examples=40, deadline=None)
+    def test_views_match_stored_fields(self, seed):
+        tree, dec, _ = random_split(seed)
+        assert [f.name for f in dataclasses.fields(dec)] == [
+            "part_of", "cut_edges", "levels", "order"
+        ]
+        part_of = dec.part_of.tolist()
+        assert dec.k == max(part_of) + 1
+        assert [list(p) for p in dec.parts] == [
+            [v for v in range(tree.n) if part_of[v] == idx] for idx in range(dec.k)
+        ]
+        assert list(dec.anchors) == sorted({x for e in dec.cut_edges for x in e})
+        assert all(type(x) is int for p in dec.parts for x in p)
+        assert all(type(x) is int for x in dec.anchors)
 
 
 _CORRUPTED = """
+import dataclasses
 from rggembed import trees
 from rggembed.decompose import Decomposition, check_decomposition, split_tree
 import numpy as np
@@ -282,20 +296,24 @@ tree = trees.path_tree(10)
 dec = split_tree(tree, None, 6.0, 2)
 if dec.k < 2:
     raise SystemExit("the example needs a split with cut edges")
-# one part holding every vertex, but the cut edges and anchors kept
-bad = Decomposition(
-    parts=(tuple(range(10)),),
-    part_of=np.zeros(10, dtype=np.int64),
-    cut_edges=dec.cut_edges,
-    anchors=dec.anchors,
-    levels=dec.levels,
-)
-try:
-    check_decomposition(tree, None, 6.0, 2, bad)
-except AssertionError as exc:
-    print("rejected:", exc)
-else:
-    print("accepted")
+corrupted = [
+    # one part holding every vertex, but the cut edges kept
+    Decomposition(
+        part_of=np.zeros(10, dtype=np.int64),
+        cut_edges=dec.cut_edges,
+        levels=dec.levels,
+        order=dec.order,
+    ),
+    # the parts numbered 0, 2, 3, ...: label 1 is skipped
+    dataclasses.replace(dec, part_of=np.where(dec.part_of > 0, dec.part_of + 1, 0)),
+]
+for bad in corrupted:
+    try:
+        check_decomposition(tree, None, 6.0, 2, bad)
+    except AssertionError as exc:
+        print("rejected:", exc)
+    else:
+        print("accepted")
 """
 
 
@@ -304,11 +322,10 @@ class TestCheckDecomposition:
         tree = trees.path_tree(10)
         dec = split_tree(tree, None, 6.0, 2)
         bad = Decomposition(
-            parts=(tuple(range(10)),),
             part_of=np.zeros(10, dtype=np.int64),
             cut_edges=dec.cut_edges,
-            anchors=dec.anchors,
             levels=dec.levels,
+            order=dec.order,
         )
         with pytest.raises(AssertionError, match="k-1 cut edges"):
             check_decomposition(tree, None, 6.0, 2, bad)
@@ -317,26 +334,20 @@ class TestCheckDecomposition:
         tree = trees.path_tree(6)
         # {0, 1, 2} and {3, 4, 5} relabelled as {0, 1, 5} and {2, 3, 4}
         bad = Decomposition(
-            parts=((0, 1, 5), (2, 3, 4)),
             part_of=np.array([0, 0, 1, 1, 1, 0]),
             cut_edges=((1, 2),),
-            anchors=(1, 2),
             levels=np.array([1, 0, 0, 1, 2, 3]),
+            order=np.array([1, 0, 5, 2, 3, 4]),
         )
         with pytest.raises(AssertionError, match="part 0 is not connected"):
             check_decomposition(tree, None, 4.0, 2, bad)
 
-    def test_rejects_part_of_mismatch(self):
+    def test_rejects_part_of_skipping_a_label(self):
         tree = trees.path_tree(10)
         dec = split_tree(tree, None, 6.0, 2)
-        bad = Decomposition(
-            parts=dec.parts,
-            part_of=dec.part_of[::-1].copy(),
-            cut_edges=dec.cut_edges,
-            anchors=dec.anchors,
-            levels=dec.levels,
-        )
-        with pytest.raises(AssertionError, match="part_of"):
+        check_decomposition(tree, None, 6.0, 2, dec)
+        bad = dataclasses.replace(dec, part_of=np.where(dec.part_of > 0, dec.part_of + 1, 0))
+        with pytest.raises(AssertionError, match="part_of does not label every vertex"):
             check_decomposition(tree, None, 6.0, 2, bad)
 
     def test_rejects_under_optimize_flag(self):
@@ -351,4 +362,7 @@ class TestCheckDecomposition:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("rejected: expected k-1 cut edges"), out.stdout
+        lines = out.stdout.splitlines()
+        assert len(lines) == 2, out.stdout
+        assert lines[0].startswith("rejected: expected k-1 cut edges"), out.stdout
+        assert lines[1].startswith("rejected: part_of does not label every vertex"), out.stdout

@@ -130,34 +130,55 @@ class TestEmbedTree:
 
 
 def test_part_schedules_match_per_part_bfs():
-    # each part's BFS from its sorted anchors, run part by part as a loop
-    from collections import deque
+    # each part's BFS from its sorted anchors, run part by part as a loop;
+    # every fifth tree is held in one anchor-free part
     from rggembed.decompose import split_tree
 
     rng = np.random.default_rng(4)
     for i in range(60):
         n, delta = int(rng.integers(2, 200)), int(rng.integers(3, 6))
         tree = trees.random_bounded_degree_tree(n, delta, i)
-        dec = split_tree(tree, None, float(rng.uniform(delta + 1, max(delta + 2, n))), delta)
+        m = float(max(n, delta + 1)) if i % 5 == 0 else float(rng.uniform(delta + 1, max(delta + 2, n)))
+        dec = split_tree(tree, None, m, delta)
         eta = int(rng.integers(0, 5))
         anchors = set(dec.anchors)
-        for idx, (groups, tail) in enumerate(E._part_schedules(tree, dec, eta)):
+        schedules = E._part_schedules(dec, eta)
+        for idx, part in enumerate(dec.parts):
+            groups, tail = next(schedules)
             groups, tail = [g.tolist() for g in groups], tail.tolist()
-            part = dec.parts[idx]
             sources = sorted(v for v in part if v in anchors) or [part[0]]
-            order, seen, queue = [], set(sources), deque(sources)
+            order, dist, queue = [], dict.fromkeys(sources, 0), deque(sources)
             while queue:
                 u = queue.popleft()
                 order.append(u)
                 for v in tree.adj[u]:
-                    if v not in seen and dec.part_of[v] == idx:
-                        seen.add(v)
+                    if v not in dist and dec.part_of[v] == idx:
+                        dist[v] = dist[u] + 1
                         queue.append(v)
             if not anchors:
                 assert groups == [[]] * (eta + 1) and tail == order
                 continue
-            assert groups == [[v for v in order if dec.levels[v] == j] for j in range(eta + 1)]
-            assert tail == [v for v in order if dec.levels[v] > eta]
+            assert groups == [[v for v in order if dist[v] == j] for j in range(eta + 1)]
+            assert tail == [v for v in order if dist[v] > eta]
+        assert next(schedules, None) is None
+
+
+def test_in_part_graph_built_once(monkeypatch):
+    # the split's one BFS over the edges inside parts gives both the levels
+    # and the placement order, so nothing builds that graph again
+    from rggembed import decompose
+
+    build, calls = decompose._anchor_graph, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(decompose, "_anchor_graph", counted)
+    tree, graph, colors, tess, balls = planted_instance()
+    result = E.embed_tree(tree, graph, colors, tess, balls, m=5.0, delta=3)
+    assert result.diagnostics["k"] >= 2
+    assert len(calls) == 1
 
 
 class ScalarPools:

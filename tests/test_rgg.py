@@ -104,7 +104,8 @@ class TestStreamedBuild:
         pts, r = planted_points(d, seed=d)
         g = rgg.build_graph(pts, r)
         n = pts.n
-        assert g._bucket_id[n - 2] != g._bucket_id[n - 1]
+        _, bucket, _, _ = rgg._bucket_index(pts, g.r)
+        assert bucket[n - 2] != bucket[n - 1]
         e = g.edges()
         assert [n - 2, n - 1] in e.tolist()
         assert np.array_equal(e, rgg.brute_force_edges(pts, r))
@@ -122,7 +123,7 @@ class TestStreamedBuild:
         assert adj.diagonal().sum() == 0
         e = rgg.brute_force_edges(pts, r)
         for i in range(pts.n):
-            nb = g.neighbors(i)
+            nb = adj.indices[adj.indptr[i] : adj.indptr[i + 1]]
             assert np.all(np.diff(nb) > 0)
             want = np.sort(np.concatenate([e[e[:, 0] == i, 1], e[e[:, 1] == i, 0]]))
             assert np.array_equal(nb, want)

@@ -35,6 +35,13 @@ def all_pairs_diameter(tree):
     return max(max(bfs_distances(tree, v).values()) for v in range(tree.n))
 
 
+def double_sweep_diameter(tree):
+    """Diameter from two BFS (exact on trees): the far end of a sweep from
+    vertex 0 ends a longest path, and its height is the diameter."""
+    far = int(np.argmax(trees.hop_distances(tree, 0)))
+    return trees.height_from(tree, far)
+
+
 class TestHeight:
     def test_examples(self):
         assert trees.height_h(7, 3) == 2   # 1+2 = 3 < 7 <= 7 = 1+2+4
@@ -66,8 +73,7 @@ class TestTruncatedRegularTree:
     def test_complete_binary_example(self):
         t = trees.truncated_regular_tree(7, 3)
         assert bfs_levels(t, 0) == {0: 1, 1: 2, 2: 4}
-        stats = trees.tree_stats(t)
-        assert stats.diameter == 4 and stats.max_degree == 3
+        assert double_sweep_diameter(t) == 4 and t.max_degree() == 3
 
     def test_two_vertices(self):
         t = trees.truncated_regular_tree(2, 3)
@@ -84,7 +90,7 @@ class TestTruncatedRegularTree:
             sizes = bfs_levels(t, 0)
             for i in range(h):
                 assert sizes[i] == (delta - 1) ** i
-            assert trees.tree_stats(t).diameter <= 2 * h
+            assert double_sweep_diameter(t) <= 2 * h
 
     @staticmethod
     def _level_loop_edges(n, delta):
@@ -157,8 +163,9 @@ class TestBoundedDegreeTree:
 
 class TestStats:
     def test_path_and_star(self):
-        assert trees.tree_stats(trees.path_tree(5)) == trees.TreeStats(2, 4)
-        assert trees.tree_stats(trees.star_tree(5)) == trees.TreeStats(4, 2)
+        path, star = trees.path_tree(5), trees.star_tree(5)
+        assert (path.max_degree(), double_sweep_diameter(path)) == (2, 4)
+        assert (star.max_degree(), double_sweep_diameter(star)) == (4, 2)
 
     def test_height_width(self):
         p = trees.path_tree(6)
@@ -172,7 +179,7 @@ class TestStats:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 200))
         t = trees.uniform_random_tree(n, seed)
-        assert trees.tree_stats(t).diameter == all_pairs_diameter(t)
+        assert double_sweep_diameter(t) == all_pairs_diameter(t)
 
 
 class TestTreeType:
@@ -213,7 +220,7 @@ class TestWalks:
 
     def test_single_vertex(self):
         t = trees.path_tree(1)
-        assert trees.tree_stats(t) == trees.TreeStats(0, 0)
+        assert t.max_degree() == 0 and double_sweep_diameter(t) == 0
         assert trees.height_from(t, 0) == 0 and trees.width_from(t, 0) == 1
 
 
