@@ -39,7 +39,6 @@ from .trees import (
     uniform_random_tree,
     random_bounded_degree_tree,
     path_tree,
-    star_tree,
 )
 from .decompose import (
     Decomposition,

@@ -170,11 +170,15 @@ def _part_schedules(decomp: Decomposition, eta: int):
     if not decomp.cut_edges:
         yield [order[:0]] * (eta + 1), order
         return
-    levels = decomp.levels[order]
-    starts = np.searchsorted(decomp.part_of[order], np.arange(decomp.k + 1))
-    for a, b in zip(starts[:-1], starts[1:]):
-        cuts = a + np.searchsorted(levels[a:b], np.arange(eta + 2))
-        yield [order[cuts[j] : cuts[j + 1]] for j in range(eta + 1)], order[cuts[-1] : b]
+    # the (part, level) keys ascend along the order once levels past eta
+    # are folded into eta + 1, the tail; one search gives every cut
+    width = eta + 2
+    keys = decomp.part_of[order] * width + np.minimum(decomp.levels[order], eta + 1)
+    cuts = np.searchsorted(keys, np.arange(decomp.k * width + 1)).tolist()
+    for a in range(0, decomp.k * width, width):
+        bounds = cuts[a : a + width + 1]
+        runs = [order[i:j] for i, j in zip(bounds[:-1], bounds[1:])]
+        yield runs[:-1], runs[-1]
 
 
 #: A walking vertex aims this fraction of r from its parent's point toward

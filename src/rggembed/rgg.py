@@ -61,10 +61,6 @@ class ColorAssignment:
     p_blue: float
     seed: object = None
 
-    @property
-    def n_blue(self) -> int:
-        return int(self.blue.sum())
-
 
 def color_points(points: PointSet, p_blue: float, seed) -> ColorAssignment:
     """Bernoulli(p_blue) colour per point, independent, deterministic per seed."""
@@ -196,9 +192,6 @@ class GeometricGraph:
             data = np.ones(len(row))
             self._csr = sparse.csr_matrix((data, (row, col)), shape=(self.n, self.n))
         return self._csr
-
-    def n_edges(self) -> int:
-        return self.adjacency().nnz // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

@@ -3,15 +3,14 @@
 Four families: the truncated regular tree (the diameter obstruction used by
 the lower-bound experiment), uniform random labelled trees (random Pruefer
 sequence decode), degree-capped random attachment trees (test load for the
-embedding trials), and paths/stars as extremal shapes.
+embedding trials), and paths as the extremal shape.
 
 A ``Tree`` is stored as its CSR and nothing else: the neighbours of v are
 ``indices[indptr[v]:indptr[v + 1]]``, in ascending order, both arrays int32
 and read-only.  Everything derived from it (``degrees``, the directed edge
 arrays of ``adjacency_arrays``, the data of the ``tree_graph`` matrix) is
 computed once per tree and cached on it, so the split, the schedules and
-the validator share one read-only copy.  ``Tree.adj``, the rows as tuples,
-is built only when asked for; no stage of the pipeline reads it.
+the validator share one read-only copy.
 
 Every walk over a tree runs on ``tree_graph`` through
 ``scipy.sparse.csgraph``, so a breadth-first order visits neighbours in id
@@ -51,12 +50,6 @@ class Tree:
         object.__setattr__(self, "indices", _frozen(self.indices, np.int32))
         if self.indptr.shape != (self.n + 1,) or self.indptr[-1] != len(self.indices):
             raise ValueError("indptr does not fit n and indices")
-
-    @cached_property
-    def adj(self) -> tuple:
-        """The rows as a tuple of tuples (built on first use)."""
-        heads, ptr = self.indices.tolist(), self.indptr.tolist()
-        return tuple(tuple(heads[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
 
     @cached_property
     def _degrees(self) -> np.ndarray:
@@ -229,12 +222,6 @@ def path_tree(n: int) -> Tree:
     indices = np.stack((np.arange(-1, n - 1), np.arange(1, n + 1)), axis=1).ravel()[1:-1]
     indptr = np.minimum(np.maximum(2 * np.arange(n + 1) - 1, 0), 2 * n - 2)
     return Tree(n=n, indptr=indptr, indices=indices)
-
-
-def star_tree(n: int) -> Tree:
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return Tree.from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def height_from(tree: Tree, v: int) -> int:

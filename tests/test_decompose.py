@@ -17,6 +17,16 @@ from rggembed.decompose import (
 )
 
 
+def neighbours(tree, v):
+    """The CSR row of v as a list."""
+    return tree.indices[tree.indptr[v] : tree.indptr[v + 1]].tolist()
+
+
+def make_star(n):
+    """The star with centre 0 on n vertices."""
+    return trees.Tree.from_edges(n, [(0, i) for i in range(1, n)])
+
+
 def weighted_centroid(tree, w=None):
     """The centroid ``split_tree`` cuts at: the vertex minimising the
     heaviest component of T minus it, ties to the smallest id."""
@@ -33,7 +43,7 @@ def per_part_bfs(tree, part_of, sources):
     while queue:
         u = queue.popleft()
         order.append(u)
-        for v in tree.adj[u]:
+        for v in neighbours(tree, u):
             if v not in dist and part_of[v] == part_of[u]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -47,7 +57,7 @@ def brute_force_centroid(tree, w):
         # component weights of tree minus v
         seen = {v}
         score = 0.0
-        for start in tree.adj[v]:
+        for start in neighbours(tree, v):
             if start in seen:
                 continue
             comp_w, stack = 0.0, [start]
@@ -55,7 +65,7 @@ def brute_force_centroid(tree, w):
             while stack:
                 x = stack.pop()
                 comp_w += w[x]
-                for y in tree.adj[x]:
+                for y in neighbours(tree, x):
                     if y not in seen:
                         seen.add(y)
                         stack.append(y)
@@ -76,7 +86,7 @@ def reference_split(tree, w, m):
         order, parent, seen, stack = [start], {start: -1}, {start, stop}, [start]
         while stack:
             x = stack.pop()
-            for y in tree.adj[x]:
+            for y in neighbours(tree, x):
                 if y not in seen and (x, y) not in blocked and (y, x) not in blocked:
                     seen.add(y)
                     parent[y] = x
@@ -98,7 +108,7 @@ def reference_split(tree, w, m):
 
         def sides(v):  # (weight, neighbour) of every component of comp - v
             out = [(total - sub[v], parent[v])] if parent[v] >= 0 else []
-            return out + [(sub[c], c) for c in tree.adj[v] if c in sub and parent[c] == v]
+            return out + [(sub[c], c) for c in neighbours(tree, v) if c in sub and parent[c] == v]
 
         v = min(order, key=lambda x: (max(s for s, _ in sides(x)), x))
         _, u = max(sides(v), key=lambda side: (side[0], -side[1]))
@@ -118,8 +128,8 @@ class TestWeightedCentroid:
         assert score == 2
 
     def test_star_centre(self):
-        assert weighted_centroid(trees.star_tree(5)) == 0
-        _, score = brute_force_centroid(trees.star_tree(5), np.ones(5))
+        assert weighted_centroid(make_star(5)) == 0
+        _, score = brute_force_centroid(make_star(5), np.ones(5))
         assert score == 1
 
     @given(seed=st.integers(0, 300))
@@ -134,13 +144,13 @@ class TestWeightedCentroid:
         # same objective value; ties may pick different vertices, so compare scores
         seen = {v}
         score = 0.0
-        for start in tree.adj[v]:
+        for start in neighbours(tree, v):
             comp_w, stack = 0.0, [start]
             seen.add(start)
             while stack:
                 x = stack.pop()
                 comp_w += w[x]
-                for y in tree.adj[x]:
+                for y in neighbours(tree, x):
                     if y not in seen:
                         seen.add(y)
                         stack.append(y)
@@ -163,7 +173,7 @@ class TestSplitTree:
             assert 2.0 <= len(part) <= 6.0
 
     def test_single_part_when_light(self):
-        star = trees.star_tree(4)
+        star = make_star(4)
         dec = split_tree(star, None, 4.0, 3)
         assert dec.k == 1 and dec.cut_edges == () and dec.anchors == ()
         assert np.all(dec.levels == 0)
@@ -171,7 +181,7 @@ class TestSplitTree:
     def test_precondition_violations(self):
         p10 = trees.path_tree(10)
         with pytest.raises(ValueError, match="exceeds delta"):
-            split_tree(trees.star_tree(5), None, 10.0, 3)
+            split_tree(make_star(5), None, 10.0, 3)
         with pytest.raises(ValueError, match="> m0"):
             # m0 = 0.5 < unit weights
             split_tree(p10, None, 1.5, 2)

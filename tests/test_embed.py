@@ -9,6 +9,16 @@ from rggembed import geometry as G, rgg, trees
 from rggembed import embed as E
 
 
+def neighbours(tree, v):
+    """The CSR row of v as a list."""
+    return tree.indices[tree.indptr[v] : tree.indptr[v + 1]].tolist()
+
+
+def make_star(n):
+    """The star with centre 0 on n vertices."""
+    return trees.Tree.from_edges(n, [(0, i) for i in range(1, n)])
+
+
 def make_colors(blue_flags):
     return rgg.ColorAssignment(blue=np.asarray(blue_flags, dtype=bool), p_blue=0.5)
 
@@ -76,7 +86,7 @@ class TestEmbedTree:
 
     def test_degree_violation_rejected(self):
         tree, graph, colors, tess, balls = planted_instance()
-        star = trees.star_tree(12)
+        star = make_star(12)
         with pytest.raises(ValueError, match="max degree"):
             E.embed_tree(star, graph, colors, tess, balls, 5.0, 3)
 
@@ -151,7 +161,7 @@ def test_part_schedules_match_per_part_bfs():
             while queue:
                 u = queue.popleft()
                 order.append(u)
-                for v in tree.adj[u]:
+                for v in neighbours(tree, u):
                     if v not in dist and dec.part_of[v] == idx:
                         dist[v] = dist[u] + 1
                         queue.append(v)
@@ -361,7 +371,7 @@ def reference_greedy(tree, xs, r):
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        for v in tree.adj[u]:
+        for v in neighbours(tree, u):
             if mapping[v] >= 0:
                 continue
             mapping[v] = take(xs[mapping[u]] - r, xs[mapping[u]] + r)
@@ -381,7 +391,7 @@ class TestGreedyLineEmbed:
     def test_star_in_tight_cluster(self):
         points = rgg.PointSet(d=1, coords=np.array([[0.5], [0.51], [0.52], [0.53]]))
         graph = rgg.build_graph(points, 0.1)
-        star = trees.star_tree(4)
+        star = make_star(4)
         result = E.greedy_line_embed(star, graph)
         assert result.ok
         assert E.verify_embedding(star, graph, result).ok
@@ -389,7 +399,7 @@ class TestGreedyLineEmbed:
     def test_failure_when_window_exhausted(self):
         points = rgg.PointSet(d=1, coords=np.array([[0.1], [0.11], [0.5], [0.9]]))
         graph = rgg.build_graph(points, 0.05)
-        result = E.greedy_line_embed(trees.star_tree(4), graph)
+        result = E.greedy_line_embed(make_star(4), graph)
         assert not result.ok
         assert result.failure.resource == "line-window"
 

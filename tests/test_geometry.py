@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,24 +250,55 @@ class TestTransitBalls:
             reps.setdefault(tuple(sorted(abs(int(x)) for x in np.atleast_1d(disp))), nu)
         worst = 0.0
         for nu in reps.values():
-            centres = G._segment_ball_positions(tess, nu, 0.6)[0]
+            centres = G._ball_positions(tess, [nu], 0.6)[0][0]
             steps = np.linalg.norm(np.diff(centres, axis=0), axis=1)
-            worst = max(worst, (float(steps.max()) if len(steps) else 0.0) + 2.0 * bs.radius)
+            worst = max(worst, float(steps.max()) + 2.0 * bs.radius)
         assert bs.max_consecutive_gap() == worst
         assert sorted(bs._by_nu) == sorted(reps.values())
 
     def test_directions_are_built_once(self, monkeypatch):
         # a direction that for_target already built is not built again
         built = []
-        positions = G._segment_ball_positions
-        monkeypatch.setattr(G, "_segment_ball_positions",
-                            lambda tess, nu, eps: built.append(nu) or positions(tess, nu, eps))
+        positions = G._ball_positions
+        monkeypatch.setattr(G, "_ball_positions",
+                            lambda tess, nus, eps: built.extend(nus) or positions(tess, nus, eps))
         tess = G.build_tessellation(2, 7)
         bs = G.BallSystem(tess, 0.6)
         first = bs.for_target(0)
         bs.max_consecutive_gap()
         assert len(built) == len(set(built))
         assert bs.for_target(0).centres is first.centres
+
+    @pytest.mark.parametrize("d,s,eps,digest", [
+        # the benchmark's set-up tessellations (sim mode, eps 4.9)
+        (1, 19, 4.9, "9ce893e786ea1205a7e6dc01bd2346f016266da48ad3fcaf3f2025b99ce75247"),
+        (2, 23, 4.9, "0a806e5f72cfaf9939a31a39f5bc0d52c380970d82f47bae7cac18f325f1220c"),
+        (2, 7, 1.0, "5926fd56dc4daab25a0aaa5d00f0f65ff96885185cd6f7805542ee141872c04b"),
+        (3, 9, 0.6, "babb0c2fe75c47b3cb1ffbf8a4418d13e4b00ac107084ea484d208cb9642970a"),
+    ])
+    def test_ball_geometry_pinned(self, d, s, eps, digest):
+        # centres, cells and flags of every distinct direction, bit for bit;
+        # the symmetry representatives come from max_consecutive_gap's batch
+        tess = G.build_tessellation(d, s)
+        bs = G.BallSystem(tess, eps)
+        bs.max_consecutive_gap()
+        h = hashlib.sha256()
+        for nu in bs.distinct_nu_cells().tolist():
+            tb = bs.for_target(int(np.flatnonzero(tess.successor == nu)[0]))
+            for a in (tb.centres, tb.cells, tb.in_enclosing):
+                h.update(a.dtype.str.encode() + a.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_max_gap_scratch_is_bounded(self):
+        # 1770 symmetry representatives at s = 41 are placed a chunk at a time
+        bs = G.BallSystem(G.build_tessellation(3, 41), 0.5)
+        tracemalloc.start()
+        try:
+            bs.max_consecutive_gap()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 def _consistent_radius(d, s, eps, rng):

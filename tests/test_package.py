@@ -28,18 +28,31 @@ def test_package_imports_resolve():
             assert hasattr(rggembed, alias.asname or alias.name)
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats is about half of the package's import time and no trial
-    # uses it; only the curve's monotonicity test imports it, when called
+def _run_python(*args):
+    """Run a fresh interpreter that imports the package from this tree."""
     src = str(pathlib.Path(rggembed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is about half of the package's import time and no trial
+    # uses it; only the curve's monotonicity test imports it, when called
     code = (
         "import sys, rggembed, rggembed.harness, rggembed.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120)
+    out = _run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_geometry_demo_runs():
+    # the demo is the only caller of verify_transit_balls and in_enclosing
+    # outside the tests
+    demo = pathlib.Path(__file__).resolve().parents[1] / "demos" / "01_thresholds_and_tessellation.py"
+    out = _run_python(str(demo))
+    assert out.returncode == 0, out.stderr

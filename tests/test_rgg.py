@@ -37,13 +37,13 @@ class TestBuildGraph:
 
     def test_closed_threshold(self):
         pts = rgg.PointSet(d=1, coords=np.array([[0.2], [0.4]]))
-        assert rgg.build_graph(pts, 0.2).n_edges() == 1
-        assert rgg.build_graph(pts, 0.2 - 1e-12).n_edges() == 0
+        assert len(rgg.build_graph(pts, 0.2).edges()) == 1
+        assert len(rgg.build_graph(pts, 0.2 - 1e-12).edges()) == 0
 
     def test_complete_at_max_radius(self):
         pts = rgg.sample_points(40, 3, 5)
         g = rgg.build_graph(pts, math.sqrt(3))
-        assert g.n_edges() == 40 * 39 // 2
+        assert len(g.edges()) == 40 * 39 // 2
 
     def test_rejects_bad_radius(self):
         pts = rgg.sample_points(10, 2, 0)
@@ -235,8 +235,8 @@ class TestHopDiameter:
 class TestColorPoints:
     def test_extremes(self):
         pts = rgg.sample_points(100, 1, 2)
-        assert rgg.color_points(pts, 0.0, 5).n_blue == 0
-        assert rgg.color_points(pts, 1.0, 5).n_blue == 100
+        assert rgg.color_points(pts, 0.0, 5).blue.sum() == 0
+        assert rgg.color_points(pts, 1.0, 5).blue.sum() == 100
 
     def test_determinism(self):
         pts = rgg.sample_points(1000, 1, 2)
@@ -248,7 +248,7 @@ class TestColorPoints:
         # 3 sigma for Binomial(10^5, 1/2) is ~474
         pts = rgg.sample_points(10**5, 1, 4)
         colors = rgg.color_points(pts, 0.5, 99)
-        assert abs(colors.n_blue - 50000) <= 3 * math.sqrt(10**5) / 2
+        assert abs(colors.blue.sum() - 50000) <= 3 * math.sqrt(10**5) / 2
 
     def test_rejects_bad_p(self):
         pts = rgg.sample_points(10, 1, 2)
