@@ -101,16 +101,10 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    if args.r:
-        if len(args.r) != 1:
-            raise ValueError("lowerbound takes exactly one --r or --r-mult")
-        r = args.r[0]
-    elif args.r_mult:
-        if len(args.r_mult) != 1:
-            raise ValueError("lowerbound takes exactly one --r or --r-mult")
-        r = args.r_mult[0] * geometry.critical_radius(args.n, args.d, args.delta)
-    else:
-        raise ValueError("lowerbound needs --r or --r-mult")
+    if len((args.r or []) + (args.r_mult or [])) != 1:
+        raise ValueError("lowerbound takes exactly one --r or --r-mult")
+    r = args.r[0] if args.r else args.r_mult[0] * geometry.critical_radius(
+        args.n, args.d, args.delta)
     record = harness.run_lower_bound_experiment(
         args.n, args.d, args.delta, r, args.trials, args.seed
     )

@@ -13,10 +13,11 @@ vertices.  The tree is rooted once; in DFS preorder every component is a
 sorted run of positions and its subtree weights come from one prefix sum.
 
 Endpoints of cut edges are *anchors*; the *level* of a vertex is its hop
-distance, inside its own part, to the nearest anchor of that part.  One
-breadth-first search over the edges inside parts, from a super-source joined
-to the sorted anchors, gives every level and every part's placement order
-at once: restricted to one part, it is that part's own BFS from its anchors.
+distance, inside its own part, to the nearest anchor of that part.  One run
+of the package's BFS over the edges inside parts (float64 data, so csgraph
+reads it without a copy), from a super-source joined to the sorted anchors,
+gives every level and every part's placement order at once: restricted to
+one part, it is that part's own BFS from its anchors.
 A decomposition with a single part has no anchors; it uses level 0
 everywhere by convention and the BFS order from vertex 0.
 """
@@ -30,6 +31,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from ._bfs import bfs
 from .trees import Tree, adjacency_arrays, tree_graph
 
 
@@ -198,25 +200,13 @@ def split_tree(tree: Tree, w, m: float, delta: int) -> Decomposition:
 
     cut_edges.sort()
     anchors = sorted({x for e in cut_edges for x in e})
-    graph = _anchor_graph(tree, part_of, anchors or [0])
-    bfs, pred = csgraph.breadth_first_order(graph, n, return_predecessors=True)
-    bfs = bfs[1:]
-    levels = np.zeros(n, dtype=np.int64)
-    if anchors:
-        # Along a queue BFS the parents' positions never decrease, so level
-        # j + 1 is the run of vertices whose parents lie in level j's run.
-        pos = np.zeros(n + 1, dtype=np.int64)   # the source n sits at 0
-        pos[bfs] = np.arange(1, n + 1)
-        up = pos[pred[bfs]]                 # parent's position, 0 for the source
-        ends = [0]                          # level j is bfs[ends[j]:ends[j + 1]]
-        while ends[-1] < len(bfs):
-            ends.append(int(np.searchsorted(up, ends[-1] + 1)))
-        levels[bfs] = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+    order, _, level = bfs(_anchor_graph(tree, part_of, anchors or [0]), n)
+    order = order[1:]
     return Decomposition(
         part_of=part_of,
         cut_edges=tuple(cut_edges),
-        levels=levels,
-        order=bfs[np.argsort(part_of[bfs], kind="stable")],
+        levels=level[:n] - 1 if anchors else np.zeros(n, dtype=np.int64),
+        order=order[np.argsort(part_of[order], kind="stable")],
     )
 
 
@@ -232,9 +222,7 @@ def _anchor_graph(tree: Tree, part_of: np.ndarray, sources) -> sparse.csr_matrix
     indptr = np.zeros(n + 2, dtype=np.int32)
     indptr[1 : n + 1] = np.cumsum(np.bincount(tails[inside], minlength=n))
     indptr[n + 1] = len(indices)
-    return sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n + 1, n + 1)
-    )
+    return sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
 
 
 def _require(ok, message: str) -> None:

@@ -37,9 +37,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
+from ._bfs import bfs
 from .geometry import BallSystem, Tessellation
 from .rgg import ColorAssignment, GeometricGraph, PointSet
 from .trees import Tree, adjacency_arrays, tree_graph
@@ -583,7 +583,7 @@ def greedy_line_embed(tree: Tree, graph: GeometricGraph) -> Embedding:
     mapping = np.full(n, -1, dtype=np.int64)
     # BFS from vertex 0: each vertex is placed from its BFS parent's point,
     # in the order a queue would reach it
-    order, pred = csgraph.breadth_first_order(tree_graph(tree), 0, return_predecessors=True)
+    order, pred, _ = bfs(tree_graph(tree), 0)
     root_pos = find(0)
     mapping[0] = by_x[root_pos]
     nxt[root_pos] = root_pos + 1

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,7 +163,7 @@ class Tessellation:
     def n_cells(self) -> int:
         return self.s**self.d
 
-    @property
+    @cached_property
     def central_cell(self) -> int:
         return int(self.order[-1])
 

@@ -694,8 +694,9 @@ def run_prop1_experiment(n: int, c_values, trials: int, seed: int) -> Prop1Curve
             pts = rgg.sample_points(n, 1, s_pts)
             graph = rgg.build_graph(pts, r)
             tree = trees.uniform_random_tree(n, s_tree)
-            heights.append(trees.height_from(tree, 0))
-            widths.append(trees.width_from(tree, 0))
+            dist = trees.hop_distances(tree, 0)
+            heights.append(int(dist.max()))
+            widths.append(int(np.bincount(dist).max()))
             result = embed_mod.greedy_line_embed(tree, graph)
             if result.ok:
                 check = embed_mod.verify_embedding(tree, graph, result)

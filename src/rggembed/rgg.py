@@ -11,7 +11,7 @@ candidates ``_BLOCK`` at a time, so beyond the kept edges the build needs
 the working memory of one block.  Graph queries run on a symmetric CSR
 adjacency with ascending rows; the one diameter query, ``hop_diameter``, is
 an iFUB bracket lb <= D <= ub that runs until it is exact or until it
-decides D against a given bound.
+decides D against a given bound, one BFS source at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
+
+from ._bfs import bfs
 
 
 @dataclass(frozen=True)
@@ -227,19 +228,6 @@ class HopDiameter:
         return self.value == self.upper
 
 
-# Sources per BFS call of the level scan; each call holds chunk * n float64
-# distances (12.8 MB at n = 1e5).
-_BFS_CHUNK = 16
-
-
-def _bfs_distances(adj: sparse.csr_matrix, sources, **kwargs):
-    # the adjacency is symmetric, so directed search gives the undirected
-    # distances without the transposed copy an undirected call makes; its
-    # weights are all 1, so they give hop counts without the array of ones
-    # that unweighted=True allocates per call (a third of a BFS at n = 3e4)
-    return csgraph.dijkstra(adj, directed=True, indices=sources, **kwargs)
-
-
 def _decided(lb: float, ub: float, bound: float | None) -> bool:
     return lb == ub or (bound is not None and (lb > bound or ub <= bound))
 
@@ -250,36 +238,35 @@ def hop_diameter(graph: GeometricGraph, bound: float | None = None) -> HopDiamet
 
     BFS from vertex 0 gives D <= 2 ecc(0) and a farthest vertex a (smallest
     id on ties); BFS from a gives lb = ecc(a).  BFS from u, the midpoint of
-    a's longest shortest path, levels the graph; its vertices are searched
-    from farthest level first, by ascending id, ``_BFS_CHUNK`` at a time
-    and never past a level's end.  Pairs with a searched vertex are within
-    lb, and unsearched vertices at levels <= i within 2i of each other
-    through u, so ub = max(lb, 2i) for the highest unsearched level i.
+    a's BFS path to its farthest vertex, levels the graph; its vertices are
+    then searched one source at a time, farthest level first and by
+    ascending id.  Pairs with a searched vertex are within lb, and
+    unsearched vertices at levels <= i within 2i of each other through u,
+    so after each source ub = max(lb, 2i) for the level i of the next
+    unsearched vertex.
     """
     adj = graph.adjacency()
-    dist = _bfs_distances(adj, 0)
-    if dist.max() == math.inf:
+    order, _, level = bfs(adj, 0)
+    if len(order) < graph.n:
         return HopDiameter(math.inf, math.inf)
-    ub = 2.0 * float(dist.max())
-    dist, pred = _bfs_distances(adj, int(np.argmax(dist)), return_predecessors=True)
-    lb = float(dist.max())
+    ub = 2.0 * float(level.max())
+    _, pred, level = bfs(adj, int(np.argmax(level)))
+    lb = float(level.max())
     if not _decided(lb, ub, bound):
-        u = int(np.argmax(dist))
+        u = int(np.argmax(level))
         for _ in range(int(lb) // 2):
             u = int(pred[u])
-        level = _bfs_distances(adj, u)
+        level = bfs(adj, u)[2]
         ecc_u = float(level.max())
         lb, ub = max(lb, ecc_u), min(ub, 2.0 * ecc_u)
-        order = np.argsort(-level, kind="stable")
+        by_level = np.argsort(-level, kind="stable")
         # the trailing level -1 makes ub = lb once every vertex is searched
-        levels = np.append(level[order], -1.0)
-        level_end = np.searchsorted(-levels, -levels, side="right")
-        lo = 0
-        while not _decided(lb, ub, bound):
-            hi = min(lo + _BFS_CHUNK, int(level_end[lo]))
-            lb = max(lb, float(_bfs_distances(adj, order[lo:hi]).max()))
-            ub = min(ub, max(lb, 2.0 * float(levels[hi])))
-            lo = hi
+        next_level = np.append(level[by_level[1:]], -1).tolist()
+        for v, i in zip(by_level.tolist(), next_level):
+            if _decided(lb, ub, bound):
+                break
+            lb = max(lb, float(bfs(adj, v)[2].max()))
+            ub = min(ub, max(lb, 2.0 * i))
     if not lb <= ub:
         raise RuntimeError(f"diameter bracket inverted: lb = {lb} > ub = {ub}")
     return HopDiameter(lb, ub)

@@ -12,10 +12,10 @@ arrays of ``adjacency_arrays``, the data of the ``tree_graph`` matrix) is
 computed once per tree and cached on it, so the split, the schedules and
 the validator share one read-only copy.
 
-Every walk over a tree runs on ``tree_graph`` through
-``scipy.sparse.csgraph``, so a breadth-first order visits neighbours in id
-order; ``hop_distances`` is the one-source BFS that heights, widths and
-diameters are read from.
+Every breadth-first walk over a tree is the package's one BFS on
+``tree_graph``, whose float64 data csgraph reads without a copy, so it
+visits neighbours in id order; ``hop_distances`` is the one-source BFS that
+heights, widths and diameters are read from.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
+
+from ._bfs import bfs
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -61,7 +62,7 @@ class Tree:
 
     @cached_property
     def _ones(self) -> np.ndarray:
-        return _frozen(np.ones(len(self.indices)), np.int8)
+        return _frozen(np.ones(len(self.indices)), np.float64)
 
     def degrees(self) -> np.ndarray:
         return self._degrees
@@ -117,8 +118,7 @@ def tree_graph(tree: Tree) -> sparse.csr_matrix:
 def hop_distances(tree: Tree, source: int) -> np.ndarray:
     """Hop distance from ``source`` to every vertex (one BFS), int64; -1
     marks a vertex the walk does not reach."""
-    dist = csgraph.shortest_path(tree_graph(tree), indices=source, unweighted=True)
-    return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
+    return bfs(tree_graph(tree), source)[2]
 
 
 def height_h(n: int, delta: int) -> int:
@@ -222,14 +222,3 @@ def path_tree(n: int) -> Tree:
     indices = np.stack((np.arange(-1, n - 1), np.arange(1, n + 1)), axis=1).ravel()[1:-1]
     indptr = np.minimum(np.maximum(2 * np.arange(n + 1) - 1, 0), 2 * n - 2)
     return Tree(n=n, indptr=indptr, indices=indices)
-
-
-def height_from(tree: Tree, v: int) -> int:
-    """Eccentricity of v: the deepest BFS level reached from it."""
-    return int(hop_distances(tree, v).max())
-
-
-def width_from(tree: Tree, v: int) -> int:
-    """Largest BFS level size when the tree is rooted at v."""
-    return int(np.bincount(hop_distances(tree, v)).max())
-

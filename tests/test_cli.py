@@ -119,6 +119,12 @@ def test_invalid_config_exits_nonzero(capsys):
     ])
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
+    code = main([
+        "lowerbound", "--n", "500", "--d", "2", "--r", "0.3", "--r-mult", "50",
+        "--trials", "1",
+    ])
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
 
     # concentration precondition violation
     code = main(["concentration", "--n", "10", "--a", "0.0001", "--trials", "2"])

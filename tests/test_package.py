@@ -5,6 +5,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -56,3 +57,12 @@ def test_geometry_demo_runs():
     demo = pathlib.Path(__file__).resolve().parents[1] / "demos" / "01_thresholds_and_tessellation.py"
     out = _run_python(str(demo))
     assert out.returncode == 0, out.stderr
+
+
+def test_bfs_engines_only_in_the_primitive():
+    # every walk goes through rggembed._bfs.bfs, so a new BFS engine
+    # replaces one function
+    pkg = pathlib.Path(rggembed.__file__).parent
+    engines = re.compile(r"dijkstra|shortest_path|breadth_first_order")
+    users = sorted(p.name for p in pkg.glob("*.py") if engines.search(p.read_text()))
+    assert users == ["_bfs.py"]
